@@ -12,8 +12,14 @@ fields instead of the paper's ``O(|V|^3)`` all-pairs step:
 
 * one reverse field anchored at the shop  -> ``dist(v, shop)``;
 * one forward field anchored at the shop  -> ``dist(shop, j)``;
-* one reverse field per *distinct flow destination*  -> ``dist(v, j)``
-  (cached; real workloads share destinations heavily).
+* one reverse field per *distinct flow destination*  -> ``dist(v, j)``.
+
+The fields come from :func:`~repro.graphs.distances_to_target` and
+:func:`~repro.graphs.distances_from`, which memoize them on the network:
+every calculator on the same network (one per shop in the experiment
+runner) shares one destination field per distinct destination.  The
+fields are float64 arrays, so the shortest-mode detours along one flow
+path are one numpy expression over the path's node positions.
 
 Two modes are supported for ``d'''``:
 
@@ -28,7 +34,9 @@ Two modes are supported for ``d'''``:
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Tuple
+from typing import Iterator, List, Tuple
+
+import numpy as np
 
 from ..errors import InvalidScenarioError
 from ..graphs import (
@@ -47,8 +55,8 @@ DETOUR_MODES = ("shortest", "along-path")
 class DetourCalculator:
     """Per-shop detour-distance engine.
 
-    Thread-compatible for reads after warm-up; destination fields are
-    cached lazily on first use.
+    Destination fields are fetched lazily from the network's shared
+    field cache.
     """
 
     def __init__(
@@ -68,7 +76,6 @@ class DetourCalculator:
         self._mode = mode
         self._to_shop: DistanceField = distances_to_target(network, shop)
         self._from_shop: DistanceField = distances_from(network, shop)
-        self._to_destination: Dict[NodeId, DistanceField] = {}
 
     @property
     def network(self) -> RoadNetwork:
@@ -94,11 +101,7 @@ class DetourCalculator:
         return self._from_shop[node]
 
     def _destination_field(self, destination: NodeId) -> DistanceField:
-        field = self._to_destination.get(destination)
-        if field is None:
-            field = distances_to_target(self._network, destination)
-            self._to_destination[destination] = field
-        return field
+        return distances_to_target(self._network, destination)
 
     def warm_up(self, flows: List[TrafficFlow]) -> None:
         """Precompute destination fields for ``flows`` eagerly.
@@ -143,13 +146,21 @@ class DetourCalculator:
         if self._mode == "shortest":
             d_from_shop = self._from_shop[flow.destination]
             field = self._destination_field(flow.destination)
-            for node in flow.path:
-                d_to_shop = self._to_shop[node]
-                d_direct = field[node]
-                if INFINITY in (d_to_shop, d_from_shop, d_direct):
-                    yield node, INFINITY
-                else:
-                    yield node, max(0.0, d_to_shop + d_from_shop - d_direct)
+            index = field.index
+            positions = np.fromiter(
+                (index[node] for node in flow.path), dtype=np.intp, count=len(flow.path)
+            )
+            to_shop = self._to_shop.values[positions]
+            direct = field.values[positions]
+            # Same operation order as the scalar form
+            # ``max(0.0, d_to_shop + d_from_shop - d_direct)``, so every
+            # finite detour is bit-identical to it.
+            with np.errstate(invalid="ignore"):
+                detours = np.maximum(to_shop + d_from_shop - direct, 0.0)
+            detours[np.isinf(to_shop) | np.isinf(direct)] = INFINITY
+            if d_from_shop == INFINITY:
+                detours[:] = INFINITY
+            yield from zip(flow.path, detours.tolist())
         else:
             # Walk the path backwards accumulating the remaining length so
             # the whole flow costs O(len(path)).

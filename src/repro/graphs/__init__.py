@@ -1,11 +1,13 @@
 """Road-network substrate: directed graphs, shortest paths, city generators.
 
-This subpackage is self-contained (no dependency on the rest of the
-library) and implements everything the placement model needs from graph
-theory: a directed weighted road network embedded in the plane, Dijkstra
-variants, shortest-path DAG queries, strongly-connected-component
-validation, and synthetic city generators matching the paper's Dublin /
-Seattle / Manhattan-grid settings.
+This subpackage depends on nothing else in the library but the error
+taxonomy and the :mod:`repro.obs` counter hooks, and implements
+everything the placement model needs from graph theory: a directed
+weighted road network embedded in the plane, one CSR shortest-path
+engine with a per-network distance-field cache, shortest-path DAG
+queries, strongly-connected-component validation, and synthetic city
+generators matching the paper's Dublin / Seattle / Manhattan-grid
+settings.
 """
 
 from .astar import astar, bidirectional_dijkstra

@@ -8,6 +8,11 @@ anti-parallel edges (:meth:`RoadNetwork.add_street`).
 The class is intentionally independent of networkx — the substrate is part
 of the reproduction — but exposes enough introspection that tests can
 cross-check it against networkx as an oracle.
+
+Shortest-path searches run on :class:`CsrAdjacency`, an integer-indexed
+snapshot of the adjacency that :meth:`RoadNetwork.csr` builds lazily and
+caches.  Every mutation bumps :attr:`RoadNetwork.version` and drops the
+snapshot, together with the distance fields cached on it.
 """
 
 from __future__ import annotations
@@ -24,6 +29,43 @@ from ..errors import (
 from .geometry import BoundingBox, Point
 
 NodeId = Hashable
+
+#: One adjacency row: ``(neighbour index, length)`` pairs in insertion order.
+AdjacencyRow = Tuple[Tuple[int, float], ...]
+
+
+class CsrAdjacency:
+    """Integer-indexed adjacency of one :class:`RoadNetwork` version.
+
+    Compressed sparse rows, stored as one tuple per row because the
+    pure-Python search loop iterates tuples faster than it indexes
+    arrays.  ``nodes[i]`` is the intersection with index ``i`` (network
+    insertion order) and ``index`` maps back.  ``succ[i]`` / ``pred[i]`` hold the
+    outgoing / incoming ``(index, length)`` pairs in the network's
+    insertion order, so searches relax edges, and path recovery scans
+    predecessors, in the same order the dict adjacency iterates them.
+    ``field_cache`` is owned by :mod:`repro.graphs.shortest_paths`; it
+    lives here so that a mutation, which drops the snapshot, drops the
+    cached distance fields with it.
+    """
+
+    __slots__ = ("nodes", "index", "succ", "pred", "field_cache")
+
+    def __init__(self, network: "RoadNetwork") -> None:
+        self.nodes: List[NodeId] = list(network._positions)
+        self.index: Dict[NodeId, int] = {
+            node: i for i, node in enumerate(self.nodes)
+        }
+        index = self.index
+        self.succ: List[AdjacencyRow] = [
+            tuple((index[head], length) for head, length in network._succ[node].items())
+            for node in self.nodes
+        ]
+        self.pred: List[AdjacencyRow] = [
+            tuple((index[tail], length) for tail, length in network._pred[node].items())
+            for node in self.nodes
+        ]
+        self.field_cache: Optional[object] = None
 
 
 class RoadNetwork:
@@ -43,6 +85,29 @@ class RoadNetwork:
         self._positions: Dict[NodeId, Point] = {}
         self._succ: Dict[NodeId, Dict[NodeId, float]] = {}
         self._pred: Dict[NodeId, Dict[NodeId, float]] = {}
+        self._version = 0
+        self._csr: Optional[CsrAdjacency] = None
+
+    def _mutated(self) -> None:
+        self._version += 1
+        self._csr = None
+
+    @property
+    def version(self) -> int:
+        """Mutation counter; bumped by every structural change."""
+        return self._version
+
+    def csr(self) -> CsrAdjacency:
+        """The integer-indexed adjacency of the current version (cached)."""
+        csr = self._csr
+        if csr is None:
+            csr = self._csr = CsrAdjacency(self)
+        return csr
+
+    def __getstate__(self) -> Dict[str, object]:
+        state = dict(self.__dict__)
+        state["_csr"] = None  # derived; rebuilt on demand
+        return state
 
     # ------------------------------------------------------------------
     # construction
@@ -57,6 +122,7 @@ class RoadNetwork:
         self._positions[node] = position
         self._succ[node] = {}
         self._pred[node] = {}
+        self._mutated()
 
     def add_road(
         self, tail: NodeId, head: NodeId, length: Optional[float] = None
@@ -77,12 +143,13 @@ class RoadNetwork:
             length = self._positions[tail].distance_to(self._positions[head])
         if length <= 0 or math.isnan(length) or math.isinf(length):
             # Strictly positive lengths keep Dijkstra's tight-edge parent
-            # graph acyclic (see shortest_paths._exact_parents).
+            # graph acyclic (see shortest_paths._tight_predecessor).
             raise NegativeWeightError(
                 f"street {tail!r} -> {head!r} has invalid length {length}"
             )
         self._succ[tail][head] = float(length)
         self._pred[head][tail] = float(length)
+        self._mutated()
 
     def add_street(
         self, a: NodeId, b: NodeId, length: Optional[float] = None
@@ -97,6 +164,7 @@ class RoadNetwork:
             raise EdgeNotFoundError(tail, head)
         del self._succ[tail][head]
         del self._pred[head][tail]
+        self._mutated()
 
     def remove_intersection(self, node: NodeId) -> None:
         """Remove ``node`` and every incident segment."""
@@ -109,6 +177,7 @@ class RoadNetwork:
         del self._succ[node]
         del self._pred[node]
         del self._positions[node]
+        self._mutated()
 
     # ------------------------------------------------------------------
     # inspection

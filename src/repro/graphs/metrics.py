@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from typing import Optional, Set
 
 from .digraph import NodeId, RoadNetwork
-from .shortest_paths import dijkstra
+from .shortest_paths import distances_from
 
 ORIENTATION_BINS = 8
 
@@ -95,10 +95,10 @@ def circuity(
         straight = network.euclidean_distance(a, b)
         if straight <= 0:
             continue
-        distances, _ = dijkstra(network, a, cutoff=None)
-        if b not in distances:
+        field = distances_from(network, a)
+        if b not in field:
             continue
-        ratios.append(distances[b] / straight)
+        ratios.append(field[b] / straight)
     if not ratios:
         return float("nan")
     return sum(ratios) / len(ratios)

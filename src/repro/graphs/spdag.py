@@ -20,7 +20,7 @@ from typing import Dict, Iterator, List, Mapping, Optional
 
 from ..errors import NoPathError
 from .digraph import NodeId, RoadNetwork
-from .shortest_paths import INFINITY, dijkstra, distances_to_target
+from .shortest_paths import INFINITY, distances_from, distances_to_target
 
 _REL_TOL = 1e-9
 
@@ -44,17 +44,19 @@ class ShortestPathDag:
     def between(
         cls, network: RoadNetwork, source: NodeId, target: NodeId
     ) -> "ShortestPathDag":
-        """Build the DAG for one origin/destination pair (two Dijkstra runs)."""
-        from_source, _ = dijkstra(network, source)
+        """Build the DAG for one origin/destination pair.
+
+        Both anchors' fields come from the network's shared cache.
+        """
+        from_source = distances_from(network, source)
         if target not in from_source:
             raise NoPathError(source, target)
-        to_target = distances_to_target(network, target).distances
         return cls(
             source=source,
             target=target,
             total_length=from_source[target],
-            from_source=from_source,
-            to_target=to_target,
+            from_source=from_source.distances,
+            to_target=distances_to_target(network, target).distances,
         )
 
     def _tol(self) -> float:

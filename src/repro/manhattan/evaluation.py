@@ -6,14 +6,17 @@ Among all reachable RAPs the driver is served by the one with the minimum
 detour distance (rationality: if they decline the best offer they decline
 them all, paper Theorem 1 logic applied across paths).
 
-:class:`ManhattanEvaluator` caches one forward Dijkstra field per distinct
+:class:`ManhattanEvaluator` reads one forward Dijkstra field per distinct
 flow origin and one reverse field per distinct destination, plus the two
 shop fields, so evaluating a placement costs ``O(|T| * k)`` after warm-up.
+The fields come from the network's shared cache
+(:func:`~repro.graphs.distances_from` / :func:`~repro.graphs.distances_to_target`),
+so evaluators for different shops on one grid share them.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from ..core import FlowOutcome, Placement
 from ..errors import InvalidScenarioError
@@ -35,24 +38,14 @@ class ManhattanEvaluator:
     def __init__(self, scenario: ManhattanScenario) -> None:
         self._scenario = scenario
         network = scenario.network
-        self._from_origin: Dict[NodeId, DistanceField] = {}
-        self._to_destination: Dict[NodeId, DistanceField] = {}
         self._to_shop = distances_to_target(network, scenario.shop)
         self._from_shop = distances_from(network, scenario.shop)
 
     def _origin_field(self, origin: NodeId) -> DistanceField:
-        field = self._from_origin.get(origin)
-        if field is None:
-            field = distances_from(self._scenario.network, origin)
-            self._from_origin[origin] = field
-        return field
+        return distances_from(self._scenario.network, origin)
 
     def _destination_field(self, destination: NodeId) -> DistanceField:
-        field = self._to_destination.get(destination)
-        if field is None:
-            field = distances_to_target(self._scenario.network, destination)
-            self._to_destination[destination] = field
-        return field
+        return distances_to_target(self._scenario.network, destination)
 
     def reachable(self, flow_index: int, node: NodeId) -> bool:
         """Whether ``node`` is on some shortest path of the flow."""

@@ -56,8 +56,19 @@ _DEFAULT_ALGORITHM = "composite-greedy"
 
 
 def decode_site(raw: object) -> NodeId:
-    """Decode one JSON-carried intersection id (lists become tuples)."""
-    return _decode_id(raw)
+    """Decode one JSON-carried intersection id (lists become tuples).
+
+    A value that does not decode to a hashable id — a list of sites
+    where one site is expected, say — is a :class:`ServeRequestError`.
+    """
+    site = _decode_id(raw)
+    try:
+        hash(site)
+    except TypeError:
+        raise ServeRequestError(
+            f"{raw!r} is not one intersection id"
+        ) from None
+    return site
 
 
 def encode_site(site: NodeId) -> object:
@@ -71,7 +82,7 @@ def _decode_placement(raw: object, field: str) -> List[NodeId]:
             f"request field {field!r} must be a list of sites, got "
             f"{type(raw).__name__}"
         )
-    return [_decode_id(site) for site in raw]
+    return [decode_site(site) for site in raw]
 
 
 class QueryEngine:

@@ -84,9 +84,12 @@ from ..obs.slo import SLOConfig, SLOTracker
 from .batching import MicroBatcher
 from .engine import decode_site, encode_site
 from .server import (
+    _MAX_BODY,
     DEADLINE_HEADER,
     DIGEST_HEADER,
     close_quietly,
+    framing_error,
+    parse_content_length,
     read_http_request,
     sanitizer_health,
     write_json_response,
@@ -419,7 +422,8 @@ class _WorkerSlot:
         self.digest = digest
         self.replica = replica
         self.factory = factory
-        self.state = "starting"  # starting | up | down | respawning | ejected
+        #: starting | up | down | respawning | ejected | retired
+        self.state = "starting"
         self.missed = 0
         self.respawns = 0
         self.respawn_times: Deque[float] = deque()
@@ -839,10 +843,16 @@ class PlacementFleet:
         if batcher is not None:
             await batcher.drain()
         loop = asyncio.get_running_loop()
+        running = [
+            slot for slot in old_slots if slot.state in ("up", "starting")
+        ]
+        # Retire before stopping: the supervisor skips retired slots, so
+        # a heartbeat landing mid-stop cannot mistake the stop for a
+        # crash and respawn a worker for a digest nobody routes to.
+        for slot in old_slots:
+            slot.state = "retired"
         stops = [
-            loop.run_in_executor(None, slot.worker.stop)
-            for slot in old_slots
-            if slot.state in ("up", "starting")
+            loop.run_in_executor(None, slot.worker.stop) for slot in running
         ]
         if stops:
             outcomes = await asyncio.gather(*stops, return_exceptions=True)
@@ -888,21 +898,21 @@ class PlacementFleet:
     async def _supervise(self) -> None:
         while True:
             await asyncio.sleep(self._config.heartbeat_interval)
-            probes = [
-                self._probe(slot)
-                for slot in self._slots
-                if slot.state == "up"
-            ]
-            if probes:
-                # _probe handles its own failures; an exception landing
-                # here is a supervisor bug, and silently eating it would
-                # leave workers unsupervised with no trace.
-                outcomes = await asyncio.gather(
-                    *probes, return_exceptions=True
-                )
-                for outcome in outcomes:
-                    if isinstance(outcome, Exception):
-                        obs.count("fleet.supervisor_errors")
+            await self._heartbeat()
+
+    async def _heartbeat(self) -> None:
+        """Probe every live slot once (one supervisor tick)."""
+        probes = [
+            self._probe(slot) for slot in self._slots if slot.state == "up"
+        ]
+        if probes:
+            # _probe handles its own failures; an exception landing
+            # here is a supervisor bug, and silently eating it would
+            # leave workers unsupervised with no trace.
+            outcomes = await asyncio.gather(*probes, return_exceptions=True)
+            for outcome in outcomes:
+                if isinstance(outcome, Exception):
+                    obs.count("fleet.supervisor_errors")
 
     async def _probe(self, slot: _WorkerSlot) -> None:
         try:
@@ -935,6 +945,8 @@ class PlacementFleet:
             self._declare_down(slot)
 
     def _declare_down(self, slot: _WorkerSlot) -> None:
+        if slot.state == "retired":
+            return
         slot.state = "down"
         obs.count("fleet.workers_down")
         now = self._clock.now()
@@ -962,6 +974,8 @@ class PlacementFleet:
         delay *= 0.5 + 0.5 * self._rng.random()  # seeded de-sync jitter
         slot.backoff_attempt += 1
         await asyncio.sleep(delay)
+        if slot.state == "retired":
+            return
         loop = asyncio.get_running_loop()
         # Reap whatever is left of the old worker before starting anew.
         await loop.run_in_executor(None, slot.worker.kill)
@@ -970,9 +984,17 @@ class PlacementFleet:
             await loop.run_in_executor(None, slot.worker.start)
         except Exception:  # rapflow: noqa[RAP003] any spawn failure re-enters the down path for another backoff round
             obs.count("fleet.spawn_failures")
+            # A failed spawn counts toward the breaker like a crash after
+            # a successful one, so a worker that can never start is
+            # ejected instead of retried forever.
+            slot.respawn_times.append(self._clock.now())
             slot.missed = 0
             if not self._draining:
                 self._declare_down(slot)
+            return
+        if slot.state == "retired":
+            # The shard was retired while this replica was starting.
+            await loop.run_in_executor(None, slot.worker.stop)
             return
         slot.state = "up"
         slot.missed = 0
@@ -1010,6 +1032,9 @@ class PlacementFleet:
     async def _dispatch(
         self, method: str, path: str, headers: Dict[str, str], body: bytes
     ) -> Tuple[int, Dict[str, object]]:
+        framing = framing_error(method)
+        if framing is not None:
+            return framing
         if path == "/healthz":
             if method != "GET":
                 return 405, {"error": "healthz is GET-only"}
@@ -1686,7 +1711,13 @@ async def _http_exchange(
                 break
             name, _, value = line.decode("latin-1").partition(":")
             if name.strip().lower() == "content-length":
-                length = int(value.strip() or "0")
+                parsed = parse_content_length(value)
+                if parsed is None or parsed > _MAX_BODY:
+                    raise ServeWorkerError(
+                        f"bad Content-Length from {host}:{port}: "
+                        f"{value.strip()!r}"
+                    )
+                length = parsed
         raw = await reader.readexactly(length) if length else b""
         try:
             decoded = json.loads(raw.decode("utf-8")) if raw else {}

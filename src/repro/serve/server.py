@@ -98,6 +98,25 @@ DIGEST_HEADER = "x-rapflow-digest"
 
 #: Sentinel method marking an unreadably large request body.
 _TOO_LARGE = "__TOO_LARGE__"
+#: Sentinel method marking a non-numeric or negative ``Content-Length``.
+_BAD_LENGTH = "__BAD_LENGTH__"
+
+
+def parse_content_length(raw: str) -> Optional[int]:
+    """A ``Content-Length`` value as an int, or None unless plain digits."""
+    raw = raw.strip() or "0"
+    if not (raw.isascii() and raw.isdigit()):
+        return None
+    return int(raw)
+
+
+def framing_error(method: str) -> Optional[Tuple[int, Dict[str, object]]]:
+    """The reply for a request :func:`read_http_request` could not frame."""
+    if method == _TOO_LARGE:
+        return 413, {"error": f"request body exceeds {_MAX_BODY} bytes"}
+    if method == _BAD_LENGTH:
+        return 400, {"error": "Content-Length must be a non-negative integer"}
+    return None
 
 
 async def read_http_request(
@@ -108,9 +127,12 @@ async def read_http_request(
     Returns ``(method, path, headers, body, keep_alive)`` with header
     names lowercased, or ``None`` on EOF/garbage (caller drops the
     connection).  Oversized bodies come back with method
-    ``"__TOO_LARGE__"`` and the body unread, so the connection cannot be
-    reused.  Shared by :class:`PlacementServer` and the fleet front —
-    one framing implementation, one set of framing bugs.
+    ``"__TOO_LARGE__"``, and a non-numeric or negative ``Content-Length``
+    with ``"__BAD_LENGTH__"`` (counted as ``serve.bad_content_length``),
+    both with the body unread, so the connection cannot be reused;
+    :func:`framing_error` turns either into its 413/400 reply.  Shared
+    by :class:`PlacementServer` and the fleet front — one framing
+    implementation, one set of framing bugs.
 
     The whole head (request line + headers) is read with a single
     ``readuntil`` and split in memory: at high request rates the
@@ -141,7 +163,10 @@ async def read_http_request(
             continue
         name, _, value = line.partition(":")
         headers[name.strip().lower()] = value.strip()
-    length = int(headers.get("content-length", "0") or "0")
+    length = parse_content_length(headers.get("content-length", ""))
+    if length is None:
+        obs.count("serve.bad_content_length")
+        return _BAD_LENGTH, path, headers, b"", False
     if length > _MAX_BODY:
         # The body is unread, so the connection cannot be reused.
         return _TOO_LARGE, path, headers, b"", False
@@ -541,8 +566,9 @@ class PlacementServer:
     async def _route(
         self, method: str, path: str, headers: Dict[str, str], body: bytes
     ) -> Tuple[int, Dict[str, object]]:
-        if method == _TOO_LARGE:
-            return 413, {"error": f"request body exceeds {_MAX_BODY} bytes"}
+        framing = framing_error(method)
+        if framing is not None:
+            return framing
         if path == "/healthz":
             if method != "GET":
                 return 405, {"error": "healthz is GET-only"}

@@ -115,6 +115,53 @@ class TestUnreachability:
 
 
 class TestDetoursAlong:
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 10_000), side=st.integers(2, 6))
+    def test_bit_identical_to_the_scalar_formula(self, seed, side):
+        """The numpy path expression equals ``max(0, d1 + d2 - d3)``
+        evaluated per node on the reference oracle's distances, on
+        one-way grids where shop and destinations may be unreachable."""
+        from tests.graphs.sp_reference import (
+            reference_dijkstra,
+            reference_distances_to,
+        )
+
+        rng = random.Random(seed)
+        net = manhattan_grid(side, side, 10.0 + rng.random())
+        for tail, head, _ in list(net.edges()):
+            if net.has_road(head, tail) and rng.random() < 0.25:
+                net.remove_road(tail, head)
+        nodes = list(net.nodes())
+        shop = rng.choice(nodes)
+        calc = DetourCalculator(net, shop=shop)
+        to_shop = reference_distances_to(net, shop)
+        from_shop, _ = reference_dijkstra(net, shop)
+        for _ in range(5):
+            origin, destination = rng.choice(nodes), rng.choice(nodes)
+            reference, _ = reference_dijkstra(net, origin)
+            if origin == destination or destination not in reference:
+                continue
+            flow = flow_between(net, origin, destination, volume=1)
+            direct = reference_distances_to(net, destination)
+            expected = []
+            for node in flow.path:
+                terms = (
+                    to_shop.get(node, INFINITY),
+                    from_shop.get(destination, INFINITY),
+                    direct.get(node, INFINITY),
+                )
+                if INFINITY in terms:
+                    expected.append((node, INFINITY))
+                else:
+                    expected.append(
+                        (node, max(0.0, terms[0] + terms[1] - terms[2]))
+                    )
+            got = list(calc.detours_along(flow))
+            assert [node for node, _ in got] == [node for node, _ in expected]
+            for (_, ours), (_, theirs) in zip(got, expected):
+                assert type(ours) is float
+                assert ours.hex() == theirs.hex()
+
     def test_matches_pointwise_queries(self, calc, paper_flows):
         for flow in paper_flows:
             along = dict(calc.detours_along(flow))

@@ -133,23 +133,24 @@ class TestDijkstraBehaviour:
             shortest_path(net, ("hub",), "nope")
 
     def test_reconstruction_gap_raises_no_path_error(self, monkeypatch):
-        """A parent map missing a settled node must surface NoPathError.
+        """A settled path node without a tight predecessor raises NoPathError.
 
-        If the tight-edge tolerance in ``_exact_parents`` ever fails to
-        recover a predecessor, reconstruction must not leak a raw
+        If the tight-edge tolerance in ``_tight_predecessor`` ever fails
+        to recover a predecessor, reconstruction must not leak a raw
         KeyError; it raises a taxonomy error naming the stranded node.
         """
         from repro.graphs import shortest_paths as module
 
-        real = module._exact_parents
-
-        def lossy_parents(network, distances, source):
-            parents = real(network, distances, source)
-            parents.pop((2, 2), None)
-            return parents
-
-        monkeypatch.setattr(module, "_exact_parents", lossy_parents)
         net = manhattan_grid(4, 4, 10.0)
+        stranded = net.csr().index[(2, 2)]
+        real = module._tight_predecessor
+
+        def lossy_predecessor(pred, best, limit, node):
+            if node == stranded:
+                return None
+            return real(pred, best, limit, node)
+
+        monkeypatch.setattr(module, "_tight_predecessor", lossy_predecessor)
         with pytest.raises(NoPathError) as excinfo:
             shortest_path(net, (0, 0), (2, 2))
         assert "(2, 2)" in str(excinfo.value)

@@ -116,6 +116,20 @@ class TestWhatIf:
             with pytest.raises(ServeRequestError, match="exactly one"):
                 engine.handle(request)
 
+    @pytest.mark.parametrize("field", ["add", "remove"])
+    def test_list_of_sites_is_a_request_error(self, engine, field):
+        # One site is expected; a list of (list-encoded) sites does not
+        # decode to a hashable id and must not escape as a TypeError.
+        with pytest.raises(ServeRequestError, match="not one intersection"):
+            engine.handle(
+                {"kind": "what_if", "placement": ["V3", "V5"],
+                 field: [["V3"], ["V5"]]}
+            )
+
+    def test_unhashable_placement_site_is_a_request_error(self, engine):
+        with pytest.raises(ServeRequestError, match="not one intersection"):
+            engine.handle({"kind": "evaluate", "placements": [[[["V3"]]]]})
+
     def test_add_duplicate_site_rejected(self, engine):
         with pytest.raises(ServeRequestError, match="already"):
             engine.handle(

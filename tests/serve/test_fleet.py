@@ -476,3 +476,147 @@ class TestValidation:
             FleetConfig(retry=RetryPolicy(retries=-1)).validate()
         with pytest.raises(ServeRequestError):
             FleetConfig(retry=RetryPolicy(jitter=1.5)).validate()
+
+
+class ManualClock:
+    """An injectable clock the test advances by hand."""
+
+    def __init__(self):
+        self.t = 0.0
+
+    def now(self):
+        return self.t
+
+
+def counting_factory(artifact, starts, stop_delay=0.0, fail_after=None):
+    """A local-worker factory that counts workers built per digest.
+
+    ``stop_delay`` keeps a stopped worker's slot in place a while after
+    the worker is gone (the window a heartbeat can land in);
+    ``fail_after`` makes every worker after the first N fail to start.
+    """
+    inner = local_worker_factory(lambda: QueryEngine(artifact))
+
+    def factory(replica):
+        starts[artifact.digest] = starts.get(artifact.digest, 0) + 1
+        worker = inner(replica)
+        start, stop = worker.start, worker.stop
+
+        def slow_stop():
+            stop()
+            time.sleep(stop_delay)
+
+        def failing_start():
+            raise OSError("spawn refused")
+
+        worker.stop = slow_stop
+        if fail_after is not None and starts[artifact.digest] > fail_after:
+            worker.start = failing_start
+        return worker
+
+    return factory
+
+
+class TestRetiredShards:
+    def test_no_worker_starts_for_a_retired_digest(
+        self, artifact, linear_artifact
+    ):
+        import asyncio
+
+        starts = {}
+        clock = ManualClock()
+        config = fast_config(
+            heartbeat_interval=3600.0,  # ticks below are driven by hand
+            max_missed=1,
+            respawn_backoff=0.001,
+            respawn_backoff_cap=0.001,
+        )
+        fleet = PlacementFleet(
+            counting_factory(artifact, starts, stop_delay=0.3),
+            digest=artifact.digest,
+            config=config,
+            clock=clock,
+        )
+        with FleetThread(fleet) as handle:
+            assert starts == {artifact.digest: 2}
+            swap = fleet.request_swap(
+                linear_artifact.digest,
+                counting_factory(linear_artifact, starts),
+            )
+            for _ in range(20):
+                clock.t += config.heartbeat_interval
+                asyncio.run_coroutine_threadsafe(
+                    fleet._heartbeat(), fleet._loop
+                ).result(timeout=10)
+                time.sleep(0.05)
+            assert swap.result(timeout=30)["to"] == linear_artifact.digest
+            health = handle.client().healthz()
+            assert [doc["digest"] for doc in health["workers"]] == [
+                linear_artifact.digest
+            ] * 2
+            assert health["respawns"] == 0
+        assert starts == {artifact.digest: 2, linear_artifact.digest: 2}
+
+    def test_spawn_failures_trip_the_breaker(self, artifact):
+        starts = {}
+        config = fast_config(breaker_threshold=2, breaker_window=60.0)
+        fleet = PlacementFleet(
+            counting_factory(artifact, starts, fail_after=2),
+            digest=artifact.digest,
+            config=config,
+        )
+        with FleetThread(fleet) as handle:
+            client = handle.client()
+            fleet.worker_handle(0).kill()
+            assert wait_until(
+                lambda: "ejected"
+                in [doc["state"] for doc in client.healthz()["workers"]]
+            ), "a worker that can never start was retried forever"
+            attempts = starts[artifact.digest]
+            time.sleep(1.0)
+            assert starts[artifact.digest] == attempts
+            assert client.evaluate([["V3", "V5"]]) == [21.0]
+
+
+class TestFrontFraming:
+    @pytest.mark.parametrize(
+        "length,status",
+        [("abc", 400), ("-5", 400), (str(64 * 1024 * 1024), 413)],
+    )
+    def test_bad_content_length_at_the_front(self, artifact, length, status):
+        from tests.serve.test_server import raw_exchange
+
+        fleet = make_fleet(artifact)
+        with FleetThread(fleet) as handle:
+            reply = raw_exchange(handle.port, length)
+            assert reply.startswith(f"HTTP/1.1 {status} ".encode())
+            assert handle.client().evaluate([["V3", "V5"]]) == [21.0]
+
+    @pytest.mark.parametrize("length", ["abc", "-5", str(64 * 1024 * 1024)])
+    def test_bad_worker_reply_length_is_a_worker_error(self, length):
+        import asyncio
+
+        from repro.errors import ServeWorkerError
+        from repro.serve.fleet import _http_exchange
+
+        async def exchange():
+            async def reply(reader, writer):
+                await reader.readuntil(b"\r\n\r\n")
+                writer.write(
+                    f"HTTP/1.1 200 OK\r\nContent-Length: {length}\r\n\r\n{{}}".encode()
+                )
+                await writer.drain()
+                writer.close()
+
+            server = await asyncio.start_server(reply, "127.0.0.1", 0)
+            port = server.sockets[0].getsockname()[1]
+            try:
+                return await _http_exchange(
+                    "127.0.0.1", port, "GET", "/healthz", None, {}
+                )
+            finally:
+                server.close()
+                await server.wait_closed()
+
+        with pytest.raises(ServeWorkerError, match="bad Content-Length"):
+            asyncio.run(exchange())

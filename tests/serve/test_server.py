@@ -80,9 +80,57 @@ class TestBasics:
             assert response.status == 413
             connection.close()
 
+    def test_what_if_with_a_list_of_sites_is_400(self, engine):
+        with ServerThread(engine) as handle:
+            with pytest.raises(ServeClientError) as info:
+                handle.client().query(
+                    {"kind": "what_if", "placement": ["V3"],
+                     "add": [["V5"], ["V4"]]}
+                )
+            assert info.value.status == 400
+
     def test_server_thread_rejects_bad_argument(self):
         with pytest.raises(ServeError, match="wraps a QueryEngine"):
             ServerThread("not an engine")
+
+
+def raw_exchange(port: int, length: str) -> bytes:
+    """Send one POST /query head with ``Content-Length: length``; return
+    everything the peer answers before it closes."""
+    import socket
+
+    with socket.create_connection(("127.0.0.1", port), timeout=10) as sock:
+        sock.sendall(
+            f"POST /query HTTP/1.1\r\nContent-Length: {length}\r\n\r\n".encode()
+        )
+        chunks = []
+        while True:
+            chunk = sock.recv(65536)
+            if not chunk:
+                return b"".join(chunks)
+            chunks.append(chunk)
+
+
+#: Each malformed length and the status it must get; the connection is
+#: then closed, since the unread body leaves the stream unframed.
+BAD_LENGTHS = [("abc", 400), ("-5", 400), (str(64 * 1024 * 1024), 413)]
+
+
+class TestFraming:
+    @pytest.mark.parametrize("length,status", BAD_LENGTHS)
+    def test_bad_content_length_gets_a_status_and_a_close(
+        self, engine, length, status
+    ):
+        from repro import obs
+
+        with obs.ObsContext() as ctx, ServerThread(engine) as handle:
+            reply = raw_exchange(handle.port, length)
+            assert reply.startswith(f"HTTP/1.1 {status} ".encode())
+            assert b"Connection: close" in reply
+            assert handle.client().healthz()["status"] == "ok"
+        assert ctx.counters.get("serve.bad_content_length", 0) == (
+            1 if status == 400 else 0
+        )
 
 
 class TestAdmissionControl:
