@@ -20,7 +20,7 @@ from repro import (
     TrafficFlow,
     evaluate_placement,
 )
-from repro.core import DetourCalculator, IncrementalEvaluator
+from repro.core import ArrayEvaluator, DetourCalculator
 from repro.graphs import Point, RoadNetwork
 
 
@@ -80,7 +80,7 @@ def main() -> None:
         f"attracts only {v3v5.attracted:.0f} (paper: (6+6+3)x1/3 = 5)"
     )
 
-    incremental = IncrementalEvaluator(linear_scenario)
+    incremental = ArrayEvaluator(linear_scenario)
     gain_v3 = incremental.gain("V3")
     incremental.place("V3")
     gain_v2 = incremental.gain("V2")

@@ -172,7 +172,6 @@ def run_level(
     concurrency: int,
     requests: int,
     pool: Sequence[Sequence[object]],
-    backend: str,
     keep_latencies: bool = False,
 ) -> Dict[str, object]:
     """Drive one concurrency level; returns throughput + tail latencies."""
@@ -190,7 +189,6 @@ def run_level(
             body = {
                 "kind": "evaluate",
                 "placements": [list(placement)],
-                "backend": backend,
             }
             t0 = time.perf_counter()
             try:
@@ -235,7 +233,6 @@ def run_raw_level(
     concurrency: int,
     requests: int,
     pool: Sequence[Sequence[object]],
-    backend: str,
 ) -> Dict[str, object]:
     """Drive one concurrency level with a raw-socket asyncio generator.
 
@@ -260,7 +257,6 @@ def run_raw_level(
             {
                 "kind": "evaluate",
                 "placements": [[encode_site(site) for site in placement]],
-                "backend": backend,
             }
         ).encode("utf-8")
         head = (
@@ -346,7 +342,6 @@ def run_raw_level(
 def run_fleet_tier(
     artifact: ScenarioArtifact,
     pool: Sequence[Sequence[object]],
-    backend: str,
     workers: int,
     concurrency: int,
     requests: int,
@@ -385,16 +380,16 @@ def run_fleet_tier(
     )
     with FleetThread(fleet) as handle:
         run_level(  # warm-up outside the timed window
-            handle.port, concurrency, concurrency * 2, pool, backend
+            handle.port, concurrency, concurrency * 2, pool
         )
         first = run_level(
-            handle.port, concurrency, requests // 2, pool, backend,
+            handle.port, concurrency, requests // 2, pool,
             keep_latencies=True,
         )
         fleet.worker_handle(0).kill()
         second = run_level(
             handle.port, concurrency, requests - requests // 2, pool,
-            backend, keep_latencies=True,
+            keep_latencies=True,
         )
         client = handle.client()
         deadline = time.perf_counter() + 10.0
@@ -453,7 +448,6 @@ def run_fleet_tier(
 def run_shm_fleet_tier(
     artifact: ScenarioArtifact,
     pool: Sequence[Sequence[object]],
-    backend: str,
     workers: int,
     concurrency: int,
     requests: int,
@@ -529,11 +523,9 @@ def run_shm_fleet_tier(
         )
         with FleetThread(fleet) as handle:
             run_raw_level(  # warm-up outside the timed window
-                handle.port, min(32, concurrency), concurrency, pool, backend
+                handle.port, min(32, concurrency), concurrency, pool
             )
-            level = run_raw_level(
-                handle.port, concurrency, requests, pool, backend,
-            )
+            level = run_raw_level(handle.port, concurrency, requests, pool)
             # The supervisor fills worker health (restore provenance)
             # from its heartbeat probes; give it a beat to catch up.
             client = handle.client()
@@ -636,7 +628,6 @@ def synthetic_journeys(
 def run_stream_tier(
     artifact: ScenarioArtifact,
     pool: Sequence[Sequence[object]],
-    backend: str,
     workers: int,
     concurrency: int,
     requests: int,
@@ -756,10 +747,10 @@ def run_stream_tier(
 
     with FleetThread(fleet) as handle:
         run_level(  # warm-up outside the timed window
-            handle.port, concurrency, concurrency * 2, pool, backend
+            handle.port, concurrency, concurrency * 2, pool
         )
         baseline = run_level(
-            handle.port, concurrency, requests // 2, pool, backend,
+            handle.port, concurrency, requests // 2, pool,
             keep_latencies=True,
         )
 
@@ -793,7 +784,7 @@ def run_stream_tier(
         try:
             under_swap = run_level(
                 handle.port, concurrency, requests - requests // 2, pool,
-                backend, keep_latencies=True,
+                keep_latencies=True,
             )
         finally:
             stop.set()
@@ -845,11 +836,6 @@ def main() -> int:
                         help="sites per evaluated placement")
     parser.add_argument("--scale", default="paper",
                         choices=("paper", "small"))
-    parser.add_argument(
-        "--backend", default="python", choices=("python", "numpy"),
-        help="evaluation backend for the workload (default: python — "
-        "evaluation cost is what the batcher's dedup amortizes)",
-    )
     parser.add_argument("--window", type=float, default=0.001,
                         help="batching window in seconds for batched mode")
     parser.add_argument("--fleet-workers", type=int, default=4,
@@ -906,13 +892,9 @@ def main() -> int:
                 engine, max_inflight=max(64, 4 * concurrency), **batch_kwargs
             ) as handle:
                 # One warm-up round outside the timed window.
-                run_level(
-                    handle.port, concurrency, concurrency * 4, pool,
-                    args.backend,
-                )
+                run_level(handle.port, concurrency, concurrency * 4, pool)
                 level = run_level(
-                    handle.port, concurrency, args.requests, pool,
-                    args.backend,
+                    handle.port, concurrency, args.requests, pool
                 )
                 level["mode"] = mode
                 level["batching"] = handle.client().healthz()["batching"]
@@ -932,7 +914,6 @@ def main() -> int:
     fleet_tier = run_fleet_tier(
         artifact,
         pool,
-        args.backend,
         workers=args.fleet_workers,
         concurrency=args.fleet_concurrency,
         requests=args.fleet_requests,
@@ -950,7 +931,6 @@ def main() -> int:
     shm_tier = run_shm_fleet_tier(
         artifact,
         pool,
-        args.backend,
         workers=args.shm_workers,
         concurrency=args.shm_concurrency,
         requests=args.shm_requests,
@@ -970,7 +950,6 @@ def main() -> int:
     stream_tier = run_stream_tier(
         artifact,
         pool,
-        args.backend,
         workers=args.stream_workers,
         concurrency=args.stream_concurrency,
         requests=args.stream_requests,
@@ -1000,7 +979,6 @@ def main() -> int:
         "git_sha": git_sha(),
         "git_dirty": git_dirty(),
         "scale": args.scale,
-        "backend": args.backend,
         "batch_window_s": args.window,
         "requests_per_level": args.requests,
         "pool_size": len(pool),

@@ -5,15 +5,11 @@ Runs the core benchmark files (``benchmarks/bench_algorithms.py`` and
 ``benchmarks/bench_scaling.py``) under pytest-benchmark at the small
 trace scale, extracts the median runtime of every bench, and writes
 ``BENCH_core.json`` — one snapshot of {bench name, median seconds,
-backend, git SHA} per invocation — so successive commits accumulate a
+algorithm, git SHA} per invocation — so successive commits accumulate a
 performance trajectory that CI can archive and compare.
 
-The backend-paired benches (``test_greedy_backend_k10``) additionally
-yield python-vs-numpy speedups per greedy variant, printed to stdout and
-summarized as their geometric mean (``greedy_placement_speedup``).
-
 When pytest-benchmark is unavailable the harness falls back to a
-perf_counter timing loop over the same greedy backend pairs, marking the
+perf_counter timing loop over the greedy variants, marking the
 snapshot's ``source`` accordingly.
 
 Every snapshot also carries ``obs_counters``: per-greedy-variant work
@@ -30,7 +26,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import pathlib
 import statistics
@@ -115,7 +110,6 @@ def run_pytest_benchmarks(scale: str) -> List[Dict[str, object]]:
             {
                 "name": bench["name"],
                 "median_seconds": bench["stats"]["median"],
-                "backend": extra.get("backend"),
                 "algorithm": extra.get("algorithm"),
                 "scale": extra.get("scale", scale),
             }
@@ -150,9 +144,8 @@ def _dublin_scenario(scale: str):
 def run_fallback_timers(scale: str) -> List[Dict[str, object]]:
     """Minimal stand-in when pytest-benchmark is missing.
 
-    Times only the greedy backend pairs (the speedup-bearing benches)
-    with a perf_counter loop on the same Dublin scenario the benchmark
-    module uses.
+    Times only the greedy variants with a perf_counter loop on the same
+    Dublin scenario the benchmark module uses.
     """
     scenario = _dublin_scenario(scale)
     from repro.algorithms import algorithm_by_name
@@ -161,30 +154,28 @@ def run_fallback_timers(scale: str) -> List[Dict[str, object]]:
 
     records: List[Dict[str, object]] = []
     for name in GREEDY_ALGORITHMS:
-        for backend in ("python", "numpy"):
-            algorithm = algorithm_by_name(name, backend=backend)
-            algorithm.select(scenario, k)  # warm caches
-            samples: List[float] = []
-            for _ in range(75):
-                start = time.perf_counter()
-                algorithm.select(scenario, k)
-                samples.append(time.perf_counter() - start)
-            records.append(
-                {
-                    "name": f"test_greedy_backend_k10[{name}-{backend}]",
-                    "median_seconds": statistics.median(samples),
-                    "backend": backend,
-                    "algorithm": name,
-                    "scale": scale,
-                }
-            )
+        algorithm = algorithm_by_name(name)
+        algorithm.select(scenario, k)  # warm caches
+        samples: List[float] = []
+        for _ in range(75):
+            start = time.perf_counter()
+            algorithm.select(scenario, k)
+            samples.append(time.perf_counter() - start)
+        records.append(
+            {
+                "name": f"test_algorithm_select_k10[{name}]",
+                "median_seconds": statistics.median(samples),
+                "algorithm": name,
+                "scale": scale,
+            }
+        )
     return records
 
 
 def obs_counter_snapshot(scale: str) -> Dict[str, Dict[str, float]]:
     """Per-algorithm observability counters on the shared Dublin scenario.
 
-    Runs each greedy variant (numpy backend, the default) once under an
+    Runs each greedy variant once under an
     :class:`repro.obs.ObsContext` and records the work counters — gain
     evaluations, CELF heap pops, lazy refreshes/skips — plus the derived
     ``lazy_skip_ratio`` (fraction of heap candidates a CELF round did
@@ -197,7 +188,7 @@ def obs_counter_snapshot(scale: str) -> Dict[str, Dict[str, float]]:
     k = min(10, len(scenario.candidate_sites))
     snapshot: Dict[str, Dict[str, float]] = {}
     for name in GREEDY_ALGORITHMS:
-        algorithm = algorithm_by_name(name, backend="numpy")
+        algorithm = algorithm_by_name(name)
         with obs.ObsContext(label=f"bench {name}") as ctx:
             algorithm.select(scenario, k)
         counters = ctx.counters
@@ -217,30 +208,6 @@ def obs_counter_snapshot(scale: str) -> Dict[str, Dict[str, float]]:
                 entry["lazy_skip_ratio"] = skips / scanned
         snapshot[name] = entry
     return snapshot
-
-
-def backend_speedups(
-    records: List[Dict[str, object]],
-) -> Dict[str, float]:
-    """Per-algorithm python/numpy median ratios from the paired benches."""
-    medians: Dict[tuple, float] = {}
-    for record in records:
-        if record.get("backend") and record.get("algorithm"):
-            key = (str(record["algorithm"]), str(record["backend"]))
-            medians[key] = float(record["median_seconds"])  # type: ignore[arg-type]
-    speedups: Dict[str, float] = {}
-    for algorithm in GREEDY_ALGORITHMS:
-        python = medians.get((algorithm, "python"))
-        numpy = medians.get((algorithm, "numpy"))
-        if python and numpy:
-            speedups[algorithm] = python / numpy
-    return speedups
-
-
-def geometric_mean(values: List[float]) -> Optional[float]:
-    if not values:
-        return None
-    return math.exp(sum(math.log(value) for value in values) / len(values))
 
 
 def main(argv: Optional[List[str]] = None) -> int:
@@ -265,30 +232,19 @@ def main(argv: Optional[List[str]] = None) -> int:
         source = "fallback-timer"
         records = run_fallback_timers(args.scale)
 
-    speedups = backend_speedups(records)
-    summary = geometric_mean(list(speedups.values()))
     obs_counters = obs_counter_snapshot(args.scale)
     snapshot = {
-        "schema": "rapflow-bench-trajectory/1",
+        "schema": "rapflow-bench-trajectory/2",
         "git_sha": git_sha(),
         "scale": args.scale,
         "source": source,
         "benches": records,
-        "backend_speedups": speedups,
-        "greedy_placement_speedup": summary,
         "obs_counters": obs_counters,
     }
     out_path = pathlib.Path(args.out)
     out_path.write_text(json.dumps(snapshot, indent=2, sort_keys=True) + "\n")
 
     print(f"wrote {len(records)} bench medians to {out_path}")
-    for algorithm, speedup in sorted(speedups.items()):
-        print(f"  {algorithm}: numpy is {speedup:.2f}x faster than python")
-    if summary is not None:
-        print(
-            f"greedy placement speedup (geometric mean over "
-            f"{len(speedups)} variants): {summary:.2f}x"
-        )
     for algorithm, entry in sorted(obs_counters.items()):
         ratio = entry.get("lazy_skip_ratio")
         detail = f", lazy-skip ratio {ratio:.2f}" if ratio is not None else ""

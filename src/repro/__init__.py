@@ -53,7 +53,6 @@ from .core import (
     CustomUtility,
     DetourCalculator,
     FlowOutcome,
-    IncrementalEvaluator,
     LinearUtility,
     Placement,
     Scenario,
@@ -116,7 +115,6 @@ __all__ = [
     "FlowClass",
     "FlowOutcome",
     "GreedyCoverage",
-    "IncrementalEvaluator",
     "LazyGreedy",
     "LinearUtility",
     "ManhattanEvaluator",

@@ -18,7 +18,7 @@ import itertools
 import math
 from typing import List, Optional, Tuple
 
-from ..core import IncrementalEvaluator, Scenario
+from ..core import ArrayEvaluator, Scenario
 from ..errors import InfeasiblePlacementError, PlacementError
 from ..graphs import NodeId
 from .base import PlacementAlgorithm, register
@@ -73,7 +73,7 @@ class PartialEnumerationGreedy(PlacementAlgorithm):
     def _complete(
         self, scenario: Scenario, seed: List[NodeId], k: int
     ) -> Tuple[List[NodeId], float]:
-        evaluator = IncrementalEvaluator(scenario)
+        evaluator = ArrayEvaluator(scenario)
         for site in seed:
             evaluator.place(site)
         chosen = list(seed)

@@ -21,9 +21,9 @@ can only improve on the best sieve, so the worst-case floor stands.
 
 The objective here (expected attracted customers) is the paper's
 monotone submodular coverage objective, so the guarantee transfers
-directly; both evaluation backends
-(:func:`~repro.core.kernel.make_evaluator`) drive the sieves, and the
-test suite pins sieve quality against offline CELF at paper scale.
+directly; each sieve runs on its own
+:class:`~repro.core.kernel.ArrayEvaluator`, and the test suite pins
+sieve quality against offline CELF at paper scale.
 
 :class:`SieveStreamState` exposes the online form used by the streaming
 pipeline: sites are offered as they arrive, and when traffic deltas
@@ -39,7 +39,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from .. import obs
 from ..core import Scenario
-from ..core.kernel import Evaluator, make_evaluator, resolve_backend
+from ..core.kernel import ArrayEvaluator
 from ..errors import PlacementError
 from ..graphs import NodeId
 from .base import PlacementAlgorithm, register
@@ -50,7 +50,7 @@ class _Sieve:
 
     __slots__ = ("threshold", "evaluator", "sites")
 
-    def __init__(self, threshold: float, evaluator: Evaluator) -> None:
+    def __init__(self, threshold: float, evaluator: ArrayEvaluator) -> None:
         self.threshold = threshold
         self.evaluator = evaluator
         self.sites: List[NodeId] = []
@@ -88,7 +88,6 @@ class SieveStreamState:
         k: int,
         *,
         epsilon: float = 0.1,
-        backend: Optional[str] = None,
     ) -> None:
         if k < 1:
             raise PlacementError(f"sieve-streaming needs k >= 1, got {k}")
@@ -99,14 +98,13 @@ class SieveStreamState:
         self._scenario = scenario
         self._k = k
         self._epsilon = epsilon
-        self._backend = resolve_backend(backend, scenario)
         self._log_base = math.log1p(epsilon)
         # Max singleton gain seen so far (the "m" of the paper).
         self._m = 0.0
         self._sieves: Dict[int, _Sieve] = {}
         # A pristine evaluator measures singleton gains (gain() does not
         # mutate, so one shared empty evaluator serves every arrival).
-        self._singleton = make_evaluator(scenario, self._backend)
+        self._singleton = ArrayEvaluator(scenario)
         self._seen: Set[NodeId] = set()
         # Every site any sieve ever admitted: the memory-bounded pool
         # (O(k / eps * log k) sites) the final greedy polish draws from.
@@ -141,8 +139,7 @@ class SieveStreamState:
         for index in range(low, high + 1):
             if index not in self._sieves:
                 self._sieves[index] = _Sieve(
-                    self._threshold(index),
-                    make_evaluator(self._scenario, self._backend),
+                    self._threshold(index), ArrayEvaluator(self._scenario)
                 )
 
     def offer(self, site: NodeId) -> int:
@@ -178,9 +175,9 @@ class SieveStreamState:
         sites re-offered.
         """
         self._scenario = scenario
-        self._singleton = make_evaluator(scenario, self._backend)
+        self._singleton = ArrayEvaluator(scenario)
         for sieve in self._sieves.values():
-            replayed = make_evaluator(scenario, self._backend)
+            replayed = ArrayEvaluator(scenario)
             for site in sieve.sites:
                 replayed.place(site)
             sieve.evaluator = replayed
@@ -222,7 +219,7 @@ class SieveStreamState:
         keeping the ``(1/2 - eps)`` floor while closing most of the
         practical gap to offline CELF.
         """
-        evaluator = make_evaluator(self._scenario, self._backend)
+        evaluator = ArrayEvaluator(self._scenario)
         chosen: List[NodeId] = []
         remaining = sorted(self._admitted)
         while len(chosen) < self._k and remaining:
@@ -268,11 +265,8 @@ class SieveStreaming(PlacementAlgorithm):
 
     name = "sieve-stream"
 
-    def __init__(
-        self, epsilon: float = 0.1, backend: Optional[str] = None
-    ) -> None:
+    def __init__(self, epsilon: float = 0.1) -> None:
         self._epsilon = epsilon
-        self._backend = backend
         #: Sites offered / sieve admissions during the last select call.
         self.offers = 0
         self.admissions = 0
@@ -281,13 +275,8 @@ class SieveStreaming(PlacementAlgorithm):
         """Stream the candidate sites once, in candidate order."""
         if k == 0:
             return []
-        backend = resolve_backend(self._backend, scenario)
-        with obs.span(
-            "select", algorithm=self.name, backend=backend, k=k
-        ):
-            state = SieveStreamState(
-                scenario, k, epsilon=self._epsilon, backend=backend
-            )
+        with obs.span("select", algorithm=self.name, k=k):
+            state = SieveStreamState(scenario, k, epsilon=self._epsilon)
             state.offer_many(scenario.candidate_sites)
             self.offers = state.offers
             self.admissions = state.admissions

@@ -9,22 +9,15 @@ placement problem.  The algorithms themselves live in
 
 from .coverage import CoverageEntry, CoverageIndex
 from .detour import DETOUR_MODES, DetourCalculator
-from .evaluation import (
-    IncrementalEvaluator,
-    attracted_customers,
-    evaluate_placement,
-)
+from .evaluation import attracted_customers, evaluate_placement
 from .flow import TrafficFlow, flow_between, total_volume
 from .kernel import (
-    BACKENDS,
     ArrayEvaluator,
     CelfQueue,
     PackedCoverage,
     affected_placements,
     evaluate_placement_many,
-    make_evaluator,
     reevaluate_affected,
-    resolve_backend,
 )
 from .placement import FlowOutcome, Placement
 from .scenario import Scenario
@@ -46,7 +39,6 @@ from .utility import (
 
 __all__ = [
     "ArrayEvaluator",
-    "BACKENDS",
     "CelfQueue",
     "CoverageEntry",
     "CoverageIndex",
@@ -54,7 +46,6 @@ __all__ = [
     "DETOUR_MODES",
     "DetourCalculator",
     "FlowOutcome",
-    "IncrementalEvaluator",
     "LinearUtility",
     "PAPER_ALPHA",
     "PackedCoverage",
@@ -73,9 +64,7 @@ __all__ = [
     "flow_between",
     "has_errors",
     "lint_scenario",
-    "make_evaluator",
     "reevaluate_affected",
-    "resolve_backend",
     "total_volume",
     "utility_by_name",
 ]

@@ -8,7 +8,7 @@ one pass over all flow paths (plus the Dijkstra fields of the
 :class:`~repro.core.detour.DetourCalculator`), after which greedy steps
 are pure array work.
 
-For the vectorized backend, :meth:`CoverageIndex.packed` compiles the
+For the array kernel, :meth:`CoverageIndex.packed` compiles the
 incidence lists once into flat CSR arrays (see
 :mod:`repro.core.kernel`); the compiled form is cached on the index.
 """

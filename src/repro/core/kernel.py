@@ -1,9 +1,10 @@
 """Vectorized placement kernel: CSR coverage arrays + NumPy gain scans.
 
-The pure-Python :class:`~repro.core.evaluation.IncrementalEvaluator`
-walks one :class:`~repro.core.coverage.CoverageEntry` at a time and
-re-evaluates the utility function on every query.  This module is its
-array-backed twin, built around three ideas:
+:class:`ArrayEvaluator` is the one evaluation engine every greedy,
+exact search and serving query runs on.  It maintains, per flow, the
+best (minimum) detour among the RAPs placed so far and answers
+marginal-gain queries, split into Algorithm 2's uncovered and covered
+factors on request.  It is built around three ideas:
 
 * **CSR packing** — :class:`PackedCoverage` flattens the coverage index
   into contiguous arrays: per-node slices ``indptr[row] ..
@@ -30,15 +31,14 @@ Semantics are pinned to the reference implementation: the serving RAP
 per flow follows the paper's Theorem 1 tie-breaking (smallest detour,
 then earliest in travel order), the gain split mirrors Algorithm 2's
 two candidate factors, and every sum accumulates in coverage-entry
-order so scalar and batched paths agree bit-for-bit.  The pure-Python
-path stays available as the differential-testing reference via
-``backend="python"``.
+order so scalar and batched paths agree bit-for-bit.  A per-entry
+pure-Python evaluator lives in the test suite as the differential
+oracle for all of this.
 """
 
 from __future__ import annotations
 
 import heapq
-import os
 import sys
 import weakref
 from dataclasses import dataclass
@@ -51,7 +51,6 @@ from typing import (
     Sequence,
     Set,
     Tuple,
-    Union,
 )
 
 import numpy as np
@@ -63,47 +62,14 @@ from .placement import FlowOutcome, Placement
 
 if TYPE_CHECKING:  # pragma: no cover - typing-only imports
     from .coverage import CoverageIndex
-    from .evaluation import IncrementalEvaluator
     from .scenario import Scenario
 
-#: Evaluation backends selectable per algorithm (or per scenario).
-BACKENDS = ("python", "numpy")
-
-#: Environment override for the default backend.
-BACKEND_ENV = "RAPFLOW_BACKEND"
-
-#: Backend used when neither the algorithm nor the scenario chooses.
-DEFAULT_BACKEND = "numpy"
-
-#: Sentinel path position for flows no placed RAP serves yet (mirrors
-#: the reference evaluator's sentinel so tie-breaking agrees exactly).
+#: Sentinel path position for flows no placed RAP serves yet, so any
+#: real path position wins the Theorem 1 tie-break against it.
 _NO_POSITION = sys.maxsize
 
 #: Shared placeholder for not-yet-materialized array twins.
 _EMPTY = np.zeros(0)
-
-
-def resolve_backend(
-    backend: Optional[str] = None, scenario: Optional["Scenario"] = None
-) -> str:
-    """Pick the evaluation backend.
-
-    Resolution order: explicit ``backend`` argument, then the scenario's
-    ``default_backend``, then the ``RAPFLOW_BACKEND`` environment
-    variable, then :data:`DEFAULT_BACKEND`.
-    """
-    choice = backend
-    if choice is None and scenario is not None:
-        choice = scenario.default_backend
-    if choice is None:
-        choice = os.environ.get(BACKEND_ENV) or DEFAULT_BACKEND
-    choice = choice.strip().lower()
-    if choice not in BACKENDS:
-        raise InvalidScenarioError(
-            f"unknown evaluation backend {choice!r}; expected one of {BACKENDS}"
-        )
-    obs.count("backend." + choice)
-    return choice
 
 
 @dataclass(frozen=True)
@@ -485,16 +451,15 @@ def _static_for(scenario: "Scenario") -> _KernelStatic:
 
 
 class ArrayEvaluator:
-    """Array-kernel twin of :class:`~repro.core.evaluation.IncrementalEvaluator`.
+    """Mutable evaluation state for greedy placement construction.
 
-    Same public surface (``gain``, ``gain_split``, ``place``,
-    ``finish``, ...) plus the batched :meth:`gains` / :meth:`gain_splits`
-    used by vectorized greedy scans.  Single-site queries run as scalar
-    loops over the static kernel's precomputed per-incidence values (no
-    utility evaluation, no array dispatch); batched queries are masked
-    ``np.bincount`` segment reductions over every incidence.  Both
-    accumulate in coverage-entry order, so they agree bit-for-bit with
-    each other and with the reference evaluator's scan order.
+    Single-site queries (``gain``, ``gain_split``, ``place``, ...) run
+    as scalar loops over the static kernel's precomputed per-incidence
+    values (no utility evaluation, no array dispatch); the batched
+    :meth:`gains` / :meth:`gain_splits` used by vectorized scans are
+    masked ``np.bincount`` segment reductions over every incidence.
+    Both accumulate in coverage-entry order, so they agree bit-for-bit
+    with each other and with a per-entry reference scan.
     """
 
     def __init__(self, scenario: "Scenario") -> None:
@@ -784,20 +749,6 @@ class ArrayEvaluator:
         return CelfQueue(sites, self.gains(sites).tolist())
 
 
-Evaluator = Union["IncrementalEvaluator", ArrayEvaluator]
-
-
-def make_evaluator(
-    scenario: "Scenario", backend: Optional[str] = None
-) -> Evaluator:
-    """Instantiate the evaluator for the resolved backend."""
-    if resolve_backend(backend, scenario) == "numpy":
-        return ArrayEvaluator(scenario)
-    from .evaluation import IncrementalEvaluator
-
-    return IncrementalEvaluator(scenario)
-
-
 class CelfQueue:
     """Max-heap of stale marginal-gain upper bounds (CELF lazy scan).
 
@@ -806,7 +757,7 @@ class CelfQueue:
     and for Algorithm 1's uncovered-flow gain (placing RAPs only removes
     flows from the uncovered pool and shrinks best detours).  It is *not*
     true for Algorithm 2's covered-gain factor alone, which is why the
-    composite greedy's array backend uses batched full scans instead.
+    composite greedy uses batched full scans instead.
 
     On pop, a stale entry (computed in an earlier round) is recomputed
     and pushed back; the first entry computed in the current round is the
@@ -883,28 +834,8 @@ class CelfQueue:
         return None
 
 
-def flush_celf_counters(queue: "CelfQueue", iterations: int) -> None:
-    """Fold one lazy scan's tallies into the active observability context.
-
-    Called by the greedy variants once per ``select`` — the CELF hot loop
-    itself only bumps plain ints on the queue, so instrumentation costs
-    nothing there and nothing at all when no context is active.
-    """
-    if obs.active() is None:
-        return
-    obs.count_many(
-        {
-            "algorithm.iterations": iterations,
-            "gain.evaluations": queue.evaluations,
-            "celf.heap_pops": queue.heap_pops,
-            "celf.lazy_refreshes": queue.lazy_refreshes,
-            "celf.lazy_skips": queue.lazy_skips,
-        }
-    )
-
-
 def first_unplaced(
-    sites: Sequence[NodeId], evaluator: Evaluator
+    sites: Sequence[NodeId], evaluator: ArrayEvaluator
 ) -> Optional[NodeId]:
     """First candidate without a RAP — the saturated-fallback site."""
     for site in sites:
@@ -913,10 +844,58 @@ def first_unplaced(
     return None
 
 
+def celf_select(
+    evaluator: ArrayEvaluator,
+    sites: Sequence[NodeId],
+    k: int,
+    gain_of: Callable[[NodeId], float],
+    stop_when_saturated: bool = True,
+) -> Tuple[List[NodeId], int]:
+    """Greedy selection by CELF lazy scan over a non-increasing gain.
+
+    The one select loop of the marginal-gain greedies and Algorithm 1:
+    ``gain_of`` is the evaluator's total marginal gain or its
+    uncovered-flow factor.  The precompiled empty-state seed heap serves
+    both, since with nothing covered yet every gain is uncovered gain.
+    When no site has positive gain the scan stops, or, with
+    ``stop_when_saturated=False``, places zero-gain RAPs in candidate
+    order until ``k`` are down.
+
+    Returns the chosen sites and the gain evaluations spent.  The hot
+    loop only bumps plain ints on the queue; its tallies are folded into
+    the active observability context once, at the end.
+    """
+    queue = evaluator.celf_queue(sites)
+    chosen: List[NodeId] = []
+    for round_number in range(k):
+        popped = queue.pop_best(gain_of, round_number)
+        if popped is None:
+            if stop_when_saturated:
+                break
+            fallback = first_unplaced(sites, evaluator)
+            if fallback is None:
+                break
+            site: NodeId = fallback
+        else:
+            site = popped[0]
+        evaluator.place(site)
+        chosen.append(site)
+    if obs.active() is not None:
+        obs.count_many(
+            {
+                "algorithm.iterations": len(chosen),
+                "gain.evaluations": queue.evaluations,
+                "celf.heap_pops": queue.heap_pops,
+                "celf.lazy_refreshes": queue.lazy_refreshes,
+                "celf.lazy_skips": queue.lazy_skips,
+            }
+        )
+    return chosen, queue.evaluations
+
+
 def evaluate_placement_many(
     scenario: "Scenario",
     placements: Sequence[Sequence[NodeId]],
-    backend: Optional[str] = None,
 ) -> List[float]:
     """Attracted-customer totals for many placements over one packed index.
 
@@ -927,13 +906,6 @@ def evaluate_placement_many(
     of re-walking every flow path per placement.
     """
     obs.count("kernel.batch_evaluations", len(placements))
-    if resolve_backend(backend, scenario) == "python":
-        from .evaluation import evaluate_placement
-
-        return [
-            evaluate_placement(scenario, list(sites)).attracted
-            for sites in placements
-        ]
     packed = scenario.coverage.packed()
     totals: List[float] = []
     for sites in placements:
@@ -996,7 +968,6 @@ def reevaluate_affected(
     placements: Sequence[Sequence[NodeId]],
     prior_totals: Sequence[float],
     changed_flows: Sequence[int],
-    backend: Optional[str] = None,
 ) -> List[float]:
     """Placement totals after a volume patch, recomputing only the affected.
 
@@ -1004,8 +975,7 @@ def reevaluate_affected(
     totals scored against the pre-patch scenario (same placements, same
     order).  Placements covering none of ``changed_flows`` keep their
     prior total verbatim — provably bit-identical to recomputation —
-    and the rest go through one :func:`evaluate_placement_many` batch on
-    the requested backend.
+    and the rest go through one :func:`evaluate_placement_many` batch.
     """
     if len(prior_totals) != len(placements):
         raise InvalidScenarioError(
@@ -1016,7 +986,7 @@ def reevaluate_affected(
     flags = affected_placements(packed, placements, changed_flows)
     affected = [list(sites) for sites, hit in zip(placements, flags) if hit]
     recomputed = (
-        evaluate_placement_many(scenario, affected, backend)
+        evaluate_placement_many(scenario, affected)
         if affected
         else []
     )
@@ -1037,18 +1007,12 @@ def reevaluate_affected(
 
 __all__ = [
     "ArrayEvaluator",
-    "BACKENDS",
-    "BACKEND_ENV",
     "CelfQueue",
-    "DEFAULT_BACKEND",
-    "Evaluator",
     "PackedCoverage",
     "affected_placements",
+    "celf_select",
     "evaluate_placement_many",
     "first_unplaced",
-    "flush_celf_counters",
-    "make_evaluator",
     "reevaluate_affected",
-    "resolve_backend",
     "warm_kernel",
 ]

@@ -37,11 +37,6 @@ class Scenario:
     detour_mode:
         ``"shortest"`` (paper) or ``"along-path"`` — see
         :class:`~repro.core.detour.DetourCalculator`.
-    default_backend:
-        Default evaluation backend (``"python"`` or ``"numpy"``) for
-        algorithms run on this scenario; ``None`` defers to the
-        ``RAPFLOW_BACKEND`` environment variable, then the kernel's
-        built-in default.  See :mod:`repro.core.kernel`.
     """
 
     def __init__(
@@ -52,7 +47,6 @@ class Scenario:
         utility: UtilityFunction,
         candidate_sites: Optional[Sequence[NodeId]] = None,
         detour_mode: str = "shortest",
-        default_backend: Optional[str] = None,
     ) -> None:
         if shop not in network:
             raise InvalidScenarioError(f"shop {shop!r} is not an intersection")
@@ -76,15 +70,6 @@ class Scenario:
             if not self._candidates:
                 raise InvalidScenarioError("candidate site list is empty")
         self._detour_mode = detour_mode
-        if default_backend is not None and default_backend not in (
-            "python",
-            "numpy",
-        ):
-            raise InvalidScenarioError(
-                f"unknown evaluation backend {default_backend!r}; "
-                "expected 'python' or 'numpy'"
-            )
-        self._default_backend = default_backend
         self._calculator: Optional[DetourCalculator] = None
         self._coverage: Optional[CoverageIndex] = None
 
@@ -115,11 +100,6 @@ class Scenario:
     def candidate_sites(self) -> Tuple[NodeId, ...]:
         """Intersections eligible to host RAPs."""
         return self._candidates
-
-    @property
-    def default_backend(self) -> Optional[str]:
-        """Preferred evaluation backend (None = environment/default)."""
-        return self._default_backend
 
     @property
     def detour_mode(self) -> str:
@@ -188,7 +168,6 @@ class Scenario:
         clone._utility = utility
         clone._candidates = self._candidates
         clone._detour_mode = self._detour_mode
-        clone._default_backend = self._default_backend
         clone._calculator = self._calculator
         clone._coverage = self._coverage
         return clone
@@ -213,7 +192,6 @@ class Scenario:
         clone._utility = self._utility
         clone._candidates = self._candidates
         clone._detour_mode = self._detour_mode
-        clone._default_backend = self._default_backend
         clone._calculator = self._calculator
         clone._coverage = None
         return clone

@@ -78,7 +78,7 @@ class UtilityFunction(ABC):
 
         The base implementation falls back to per-element :meth:`shape`
         calls, so any subclass (including :class:`CustomUtility`) works
-        with the array backend; the three paper shapes override it with
+        with the array kernel; the three paper shapes override it with
         true NumPy expressions.
         """
         return np.array(
@@ -88,7 +88,7 @@ class UtilityFunction(ABC):
     def probability_array(
         self, distances: ArrayLike, attractiveness: ArrayLike = 1.0
     ) -> "np.ndarray":
-        """Vectorized :meth:`probability` — the kernel backend's hot path.
+        """Vectorized :meth:`probability` — the array kernel's hot path.
 
         ``distances`` and ``attractiveness`` broadcast against each other;
         each output element equals the scalar ``probability`` call

@@ -49,9 +49,7 @@ _ENGINE_RECEIVERS = frozenset({"engine", "_engine"})
 
 #: Kernel entry points that run a full placement evaluation.
 _KERNEL_MODULES = ("repro.core.evaluation", "repro.core.kernel")
-_KERNEL_FNS = frozenset(
-    {"evaluate_placement", "evaluate_placement_many", "make_evaluator"}
-)
+_KERNEL_FNS = frozenset({"evaluate_placement", "evaluate_placement_many"})
 
 
 class BlockingAsyncRule(Rule):

@@ -333,7 +333,7 @@ def install_if_enabled() -> Optional[SanitizerReport]:
 #: Task name fragments that legitimately outlive a drain: per-connection
 #: handlers are cancelled *by* shutdown (so they are still pending when
 #: the check runs), and the accept loop is the thing being torn down.
-_SHUTDOWN_EXEMPT = ("_serve_connection", "serve_forever")
+_SHUTDOWN_EXEMPT = ("HttpConnections.serve", "serve_forever")
 
 #: Cap on stored violation objects; counters keep counting past it.
 _MAX_ASYNC_VIOLATIONS = 100

@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Union
 
-from ..core import IncrementalEvaluator, Placement, Scenario, evaluate_placement
+from ..core import ArrayEvaluator, Placement, Scenario, evaluate_placement
 from ..errors import InfeasiblePlacementError
 from ..graphs import NodeId
 
@@ -86,7 +86,7 @@ class BudgetedGreedy:
         costs = self._validated_costs(scenario)
 
         # Branch 1: cost-benefit greedy.
-        evaluator = IncrementalEvaluator(scenario)
+        evaluator = ArrayEvaluator(scenario)
         chosen: List[NodeId] = []
         remaining = self._budget
         while True:
@@ -109,7 +109,7 @@ class BudgetedGreedy:
         greedy_value = evaluator.attracted
 
         # Branch 2: the best single affordable site.
-        single_eval = IncrementalEvaluator(scenario)
+        single_eval = ArrayEvaluator(scenario)
         best_single: Optional[NodeId] = None
         best_single_value = 0.0
         for site in scenario.candidate_sites:

@@ -25,12 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from ..core import (
-    IncrementalEvaluator,
-    Scenario,
-    TrafficFlow,
-    UtilityFunction,
-)
+from ..core import ArrayEvaluator, Scenario, TrafficFlow, UtilityFunction
 from ..errors import InfeasiblePlacementError, InvalidScenarioError
 from ..graphs import NodeId, RoadNetwork
 
@@ -131,8 +126,8 @@ class GreedyScheduler:
             raise InfeasiblePlacementError(
                 f"k={k} exceeds the {len(sites)} candidate sites"
             )
-        evaluators: Dict[str, IncrementalEvaluator] = {
-            campaign.name: IncrementalEvaluator(problem.scenarios[campaign.name])
+        evaluators: Dict[str, ArrayEvaluator] = {
+            campaign.name: ArrayEvaluator(problem.scenarios[campaign.name])
             for campaign in problem.campaigns
         }
         weight = {

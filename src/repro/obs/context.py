@@ -19,7 +19,7 @@ Three recording surfaces:
   ``pack.rows``, ...).  Increments land both on the context (global
   totals) and on the innermost open span, so per-algorithm breakdowns
   fall out of the span tree for free.
-* **gauges** — last-value-wins observations (``backend`` choice,
+* **gauges** — last-value-wins observations (``fleet.inflight``,
   configured scale, ...).
 
 Every span start/end is mirrored to an optional JSONL sink.  Each event

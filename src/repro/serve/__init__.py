@@ -8,8 +8,8 @@ restarts skip recompilation), then answer placement queries against it:
 
 * :class:`~repro.serve.engine.QueryEngine` — typed ``place`` /
   ``evaluate`` / ``what_if`` / ``top_gains`` requests, answered by the
-  exact library calls a direct user would make (bit-identical results,
-  both backends), with a bounded LRU response cache;
+  exact library calls a direct user would make (bit-identical results),
+  with a bounded LRU response cache;
 * :class:`~repro.serve.batching.MicroBatcher` — coalesces concurrent
   evaluate requests into shared
   :func:`~repro.core.kernel.evaluate_placement_many` calls;

@@ -15,7 +15,7 @@ that spec.  Two structurally identical scenarios share one digest, and a
 digest pins the scenario bit-for-bit: JSON's shortest-round-trip float
 encoding restores every ``float64`` exactly, so a restored scenario's
 detours, utility values, and therefore every placement and evaluation
-result are identical to the original's — on both evaluation backends.
+result are identical to the original's.
 
 :class:`ArtifactStore` persists artifacts under ``<root>/<digest>/``
 (``meta.json`` with the spec + pack stats, ``arrays.npz`` with the CSR
@@ -135,7 +135,10 @@ def scenario_to_spec(scenario: Scenario) -> Dict[str, object]:
             _encode_id(site) for site in scenario.candidate_sites
         ],
         "detour_mode": scenario.detour_mode,
-        "default_backend": scenario.default_backend,
+        # A fixed field of format version 1, kept so every artifact
+        # digest stays byte-identical; scenarios no longer choose an
+        # evaluation engine, and scenario_from_spec ignores the value.
+        "default_backend": None,
     }
 
 
@@ -173,7 +176,6 @@ def scenario_from_spec(spec: Dict[str, object]) -> Scenario:
                 for site in spec["candidate_sites"]  # type: ignore[union-attr]
             ],
             detour_mode=str(spec.get("detour_mode", "shortest")),
-            default_backend=spec.get("default_backend"),  # type: ignore[arg-type]
         )
     except ReproError:
         raise

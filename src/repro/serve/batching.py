@@ -2,10 +2,9 @@
 
 Scoring a placement costs one masked reduction over the packed coverage
 arrays, but each :func:`~repro.core.kernel.evaluate_placement_many` call
-also pays fixed per-call overhead (backend resolution, pack lookup,
-Python dispatch).  Under concurrency that overhead dominates: eight
-clients each asking for one placement trigger eight kernel entries
-where one would do.
+also pays fixed per-call overhead (pack lookup, Python dispatch).  Under
+concurrency that overhead dominates: eight clients each asking for one
+placement trigger eight kernel entries where one would do.
 
 :class:`MicroBatcher` coalesces: an ``evaluate`` request enqueues its
 placements and awaits a future; the first request in an idle window
@@ -37,7 +36,7 @@ constructed with an async ``dispatch`` callable instead of an engine,
 flushes are forwarded (one coalesced placement list per window) to
 whatever answers — in the fleet, the retry/hedging worker path — so
 identical queries landing on *different replicas* still collapse to one
-backend call per window.
+worker call per window.
 
 Placements are scored independently by the kernel (each gets its own
 min-reduction and utility pass), so coalescing, reordering, and
@@ -45,8 +44,8 @@ deduplication cannot change any total: batched results are bit-identical
 to direct ``evaluate_placement_many`` calls, which the differential
 tests pin.
 
-Batches are grouped by ``(utility, backend)`` — placements under
-different utilities can never share a kernel call.  The batcher is
+Batches are grouped by utility — placements under different utilities
+can never share a kernel call.  The batcher is
 asyncio-native and single-loop; it relies on the event loop for the
 flush timer (``asyncio.sleep``), never on wall-clock reads.
 """
@@ -75,14 +74,13 @@ from .engine import QueryEngine
 #: One queued request: its placements and the future awaiting totals.
 _Pending = Tuple[List[Tuple[NodeId, ...]], "asyncio.Future[List[float]]"]
 
-#: Batch group: canonical utility spec JSON (or "") and backend name.
-_GroupKey = Tuple[str, str]
+#: Batch group: canonical utility spec JSON (or "").
+_GroupKey = str
 
 #: Async evaluate sink for engine-less batchers (the fleet front):
-#: ``(placements, utility, backend) -> totals`` in placement order.
+#: ``(placements, utility) -> totals`` in placement order.
 DispatchFn = Callable[
-    [List[Tuple[NodeId, ...]], Optional[dict], Optional[str]],
-    Awaitable[List[float]],
+    [List[Tuple[NodeId, ...]], Optional[dict]], Awaitable[List[float]]
 ]
 
 
@@ -138,7 +136,7 @@ class MicroBatcher:
         self._max_batch = max_batch
         self._bypass_threshold = bypass_threshold
         self._pending: Dict[_GroupKey, List[_Pending]] = {}
-        self._specs: Dict[_GroupKey, Tuple[Optional[dict], Optional[str]]] = {}
+        self._specs: Dict[_GroupKey, Optional[dict]] = {}
         self._flush_tasks: Dict[_GroupKey, "asyncio.Task[None]"] = {}
         self._dispatch_tasks: Set["asyncio.Task[None]"] = set()
         self.flushes = 0
@@ -151,7 +149,6 @@ class MicroBatcher:
         self,
         placements: Sequence[Sequence[NodeId]],
         utility: Optional[dict] = None,
-        backend: Optional[str] = None,
         solo: bool = False,
         inflight: Optional[int] = None,
     ) -> List[float]:
@@ -182,21 +179,18 @@ class MicroBatcher:
             obs.count("serve.batch.bypassed")
             normalized = [tuple(sites) for sites in placements]
             if self._dispatch is not None:
-                return await self._dispatch(normalized, utility, backend)
+                return await self._dispatch(normalized, utility)
             assert self._engine is not None
             return self._engine_eval(
-                normalized, utility, backend, requests=1, deduped=0
+                normalized, utility, requests=1, deduped=0
             )
-        key: _GroupKey = (
-            json.dumps(utility, sort_keys=True) if utility else "",
-            backend or "",
-        )
+        key: _GroupKey = json.dumps(utility, sort_keys=True) if utility else ""
         loop = asyncio.get_running_loop()
         future: "asyncio.Future[List[float]]" = loop.create_future()
         normalized = [tuple(sites) for sites in placements]
         group = self._pending.setdefault(key, [])
         group.append((normalized, future))
-        self._specs[key] = (utility, backend)
+        self._specs[key] = utility
         self.batched_requests += 1
         self.batched_placements += len(normalized)
         queued = sum(len(entry[0]) for entry in group)
@@ -224,7 +218,7 @@ class MicroBatcher:
         group = self._pending.pop(key, None)
         if not group:
             return
-        utility, backend = self._specs.pop(key, (None, None))
+        utility = self._specs.pop(key, None)
         # Dedup identical placements across the batch: hot queries
         # collapse to one kernel row each.
         unique: Dict[Tuple[NodeId, ...], int] = {}
@@ -245,7 +239,7 @@ class MicroBatcher:
         )
         if self._dispatch is not None:
             task = asyncio.get_running_loop().create_task(
-                self._scatter_dispatch(group, unique, utility, backend)
+                self._scatter_dispatch(group, unique, utility)
             )
             self._dispatch_tasks.add(task)
             task.add_done_callback(self._dispatch_tasks.discard)
@@ -255,7 +249,6 @@ class MicroBatcher:
             totals = self._engine_eval(
                 list(unique),
                 utility,
-                backend,
                 requests=len(group),
                 deduped=requested - len(unique),
             )
@@ -274,7 +267,6 @@ class MicroBatcher:
         self,
         placements: List[Tuple[NodeId, ...]],
         utility: Optional[dict],
-        backend: Optional[str],
         requests: int,
         deduped: int,
     ) -> List[float]:
@@ -289,16 +281,12 @@ class MicroBatcher:
         assert self._engine is not None
         ctx = obs_trace.current()
         if ctx is None:
-            return self._engine.evaluate_totals(
-                placements, utility=utility, backend=backend
-            )
+            return self._engine.evaluate_totals(placements, utility=utility)
         clock = ctx.recorder.clock
         t_start = clock.now()
         status = "ok"
         try:
-            return self._engine.evaluate_totals(
-                placements, utility=utility, backend=backend
-            )
+            return self._engine.evaluate_totals(placements, utility=utility)
         except Exception as error:  # rapflow: noqa[RAP003] re-raised verbatim; only the span status is derived
             status = type(error).__name__
             raise
@@ -321,12 +309,11 @@ class MicroBatcher:
         group: List[_Pending],
         unique: Dict[Tuple[NodeId, ...], int],
         utility: Optional[dict],
-        backend: Optional[str],
     ) -> None:
         """Await the async sink for one flush and scatter its totals."""
         assert self._dispatch is not None
         try:
-            totals = await self._dispatch(list(unique), utility, backend)
+            totals = await self._dispatch(list(unique), utility)
         except Exception as error:  # rapflow: noqa[RAP003] scattered to every awaiting request, which re-raises with full type
             for _, future in group:
                 if not future.done():

@@ -14,7 +14,7 @@ The harness then measures what a resilient fleet must guarantee:
 * **availability** — fraction of requests answered 200 per kind, with
   degraded (cache-replayed) answers tallied separately;
 * **bit-identity** — every non-degraded ``evaluate`` answer is compared
-  against totals computed by direct library calls on the same backend;
+  against totals computed by direct library calls;
   any mismatch is a correctness failure, not a statistics blip;
 * **recovery** — respawn and corruption-detection counts read back from
   the fleet's ``/healthz``.
@@ -34,7 +34,7 @@ import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Union
 
 from ..errors import ServeClientError, ServeError, ServeRequestError
 from ..reliability.faults import FaultConfig, FaultInjector
@@ -211,12 +211,11 @@ def _build_pool(
 def _build_requests(
     pool: Sequence[Sequence[object]], total: int, seed: int
 ) -> List[Dict[str, object]]:
-    """The seeded request stream: evaluate-heavy, alternating backends."""
+    """The seeded request stream: evaluate-heavy."""
     rng = random.Random(seed * 1_000_003 + 17)
     stream: List[Dict[str, object]] = []
-    for index in range(total):
+    for _ in range(total):
         roll = rng.random()
-        backend = "numpy" if index % 2 else "python"
         cumulative = 0.0
         kind = _KIND_WEIGHTS[-1][0]
         for name, weight in _KIND_WEIGHTS:
@@ -230,7 +229,6 @@ def _build_requests(
                 {
                     "kind": "evaluate",
                     "placements": [list(pool[pool_index])],
-                    "backend": backend,
                     "_pool_index": pool_index,
                 }
             )
@@ -240,7 +238,6 @@ def _build_requests(
                     "kind": "top_gains",
                     "placement": [],
                     "limit": 4,
-                    "backend": backend,
                 }
             )
         else:
@@ -249,7 +246,6 @@ def _build_requests(
                     "kind": "place",
                     "algorithm": "composite-greedy",
                     "k": 2,
-                    "backend": backend,
                 }
             )
     return stream
@@ -299,18 +295,14 @@ def run_chaos(
     reference = QueryEngine(artifact, cache_size=0)
     pool = _build_pool(reference, pool_size=8, k=2)
     stream = _build_requests(pool, requests, seed)
-    expected: Dict[Tuple[int, str], List[float]] = {}
+    expected: Dict[int, List[float]] = {}
     for request in stream:
         if request["kind"] != "evaluate":
             continue
-        key = (request["_pool_index"], request["backend"])
+        key = request["_pool_index"]
         if key not in expected:
-            placement = tuple(
-                decode_site(site) for site in pool[key[0]]
-            )
-            expected[key] = reference.evaluate_totals(
-                [placement], backend=key[1]
-            )
+            placement = tuple(decode_site(site) for site in pool[key])
+            expected[key] = reference.evaluate_totals([placement])
 
     worker_seed = seed * 11 + 5
 
@@ -434,12 +426,10 @@ def run_chaos(
                     record["trace_id"] = trace_id
                 mismatch = False
                 if kind == "evaluate" and not degraded:
-                    key = (
-                        stream[index]["_pool_index"],
-                        stream[index]["backend"],
-                    )
                     totals = payload.get("totals")
-                    mismatch = totals != expected[key]
+                    mismatch = (
+                        totals != expected[stream[index]["_pool_index"]]
+                    )
                 with lock:
                     result.ok[kind] = result.ok.get(kind, 0) + 1
                     if degraded:

@@ -14,8 +14,8 @@
 The engine is deliberately a **thin veneer**: every number it returns
 comes from the same library calls a direct user would make
 (``algorithm.place``, ``evaluate_placement_many``, evaluator gain
-scans), so served results are bit-identical to library results on both
-backends — the differential tests in ``tests/serve`` pin exactly that.
+scans), so served results are bit-identical to library results — the
+differential tests in ``tests/serve`` pin exactly that.
 
 Requests may override the artifact's utility (``{"utility": {"name",
 "threshold"}}``); the engine caches one
@@ -35,11 +35,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from .. import obs
 from ..obs import trace as obs_trace
 from ..algorithms import algorithm_by_name, registered_algorithms
-from ..core.kernel import (
-    ArrayEvaluator,
-    evaluate_placement_many,
-    make_evaluator,
-)
+from ..core.kernel import ArrayEvaluator, evaluate_placement_many
 from ..core.scenario import Scenario
 from ..errors import ReproError, ServeFaultError, ServeRequestError
 from ..graphs import NodeId
@@ -263,22 +259,11 @@ class QueryEngine:
             obs.count("serve.utility_clones")
         return clone
 
-    def _backend(self, request: Dict[str, object]) -> Optional[str]:
-        backend = request.get("backend")
-        if backend is None:
-            return None
-        if backend not in ("python", "numpy"):
-            raise ServeRequestError(
-                f"unknown backend {backend!r}; expected 'python' or 'numpy'"
-            )
-        return str(backend)
-
     # ------------------------------------------------------------------
     # request kinds
     # ------------------------------------------------------------------
     def _handle_place(self, request: Dict[str, object]) -> Dict[str, object]:
         scenario = self.scenario_for(request)
-        backend = self._backend(request)
         name = request.get("algorithm", _DEFAULT_ALGORITHM)
         if not isinstance(name, str):
             raise ServeRequestError("request field 'algorithm' must be a string")
@@ -288,8 +273,6 @@ class QueryEngine:
                 f"request field 'k' must be a non-negative integer, got {k!r}"
             )
         kwargs: Dict[str, object] = {}
-        if backend is not None:
-            kwargs["backend"] = backend
         seed = request.get("seed")
         if seed is not None:
             if not isinstance(seed, int) or isinstance(seed, bool):
@@ -321,7 +304,6 @@ class QueryEngine:
         self,
         placements: Sequence[Sequence[NodeId]],
         utility: Optional[Dict[str, object]] = None,
-        backend: Optional[str] = None,
     ) -> List[float]:
         """Score placements verbatim via ``evaluate_placement_many``.
 
@@ -335,7 +317,7 @@ class QueryEngine:
             request["utility"] = utility
         scenario = self.scenario_for(request)
         try:
-            return evaluate_placement_many(scenario, placements, backend)
+            return evaluate_placement_many(scenario, placements)
         except ReproError as error:
             raise ServeRequestError(str(error)) from None
 
@@ -355,7 +337,6 @@ class QueryEngine:
         totals = self.evaluate_totals(
             placements,
             utility=request.get("utility"),  # type: ignore[arg-type]
-            backend=self._backend(request),
         )
         return {"totals": totals}
 
@@ -386,7 +367,6 @@ class QueryEngine:
         totals = self.evaluate_totals(
             [base, variant],
             utility=request.get("utility"),  # type: ignore[arg-type]
-            backend=self._backend(request),
         )
         return {
             "site": encode_site(site),
@@ -400,7 +380,6 @@ class QueryEngine:
         self, request: Dict[str, object]
     ) -> Dict[str, object]:
         scenario = self.scenario_for(request)
-        backend = self._backend(request)
         placed = _decode_placement(request.get("placement", []), "placement")
         limit = request.get("limit", 10)
         if not isinstance(limit, int) or isinstance(limit, bool) or limit < 1:
@@ -408,17 +387,14 @@ class QueryEngine:
                 f"request field 'limit' must be a positive integer, got "
                 f"{limit!r}"
             )
-        evaluator = make_evaluator(scenario, backend)
+        evaluator = ArrayEvaluator(scenario)
         try:
             for site in placed:
                 evaluator.place(site)
         except ReproError as error:
             raise ServeRequestError(str(error)) from None
         sites = scenario.candidate_sites
-        if isinstance(evaluator, ArrayEvaluator):
-            gains = evaluator.gains(sites).tolist()
-        else:
-            gains = [evaluator.gain(site) for site in sites]
+        gains = evaluator.gains(sites).tolist()
         ranked = sorted(
             (
                 (order, site, gain)

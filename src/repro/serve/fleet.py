@@ -15,7 +15,7 @@ With ``front_batch_window > 0`` the front also runs one
 :class:`~repro.serve.batching.MicroBatcher` per shard in *dispatch*
 mode: concurrent ``evaluate`` requests are deduplicated and coalesced
 **before** replica routing, so identical hot queries that would have
-landed on different replicas collapse to one backend call per window —
+landed on different replicas collapse to one worker call per window —
 per-shard dedup, not per-worker.
 
 The fleet stays alive under injected failure through four mechanisms:
@@ -87,12 +87,11 @@ from .server import (
     _MAX_BODY,
     DEADLINE_HEADER,
     DIGEST_HEADER,
+    HttpConnections,
     close_quietly,
     framing_error,
     parse_content_length,
-    read_http_request,
     sanitizer_health,
-    write_json_response,
 )
 from .testing import ServerThread
 
@@ -539,14 +538,17 @@ class PlacementFleet:
         self._supervisor: Optional["asyncio.Task[None]"] = None
         self._respawn_tasks: List["asyncio.Task[None]"] = []
         self._front_batchers: Dict[str, MicroBatcher] = {}
+        #: The front's keep-alive connections; close them with
+        #: ``connections.close_idle()`` as the loop stops.
+        self.connections = HttpConnections(self._dispatch, "fleet", 0.05)
         #: Hot-body parse memo: ``(digest, raw body)`` of an already
         #: validated evaluate request → its decoded ``(placements,
-        #: utility, backend)``.  Hot workloads re-send identical bodies;
+        #: utility)``.  Hot workloads re-send identical bodies;
         #: a hit skips JSON parsing, validation, and site decoding on
         #: the front's single loop (a large share of per-request cost at
         #: high concurrency).  Purely a parse cache — answers still flow
         #: through the batcher and workers every time.
-        self._parse_cache: "OrderedDict[Tuple[str, bytes], Tuple[List[List[NodeId]], Optional[dict], Optional[str]]]" = (
+        self._parse_cache: "OrderedDict[Tuple[str, bytes], Tuple[List[List[NodeId]], Optional[dict]]]" = (
             OrderedDict()
         )
         self._draining = False
@@ -658,7 +660,7 @@ class PlacementFleet:
                 for shard in self.shard_digests
             }
         self._server = await asyncio.start_server(
-            self._serve_connection, self._config.host, self._config.port
+            self.connections.serve, self._config.host, self._config.port
         )
         self._supervisor = loop.create_task(self._supervise())
 
@@ -1004,31 +1006,6 @@ class PlacementFleet:
         obs.count("fleet.respawns")
 
     # -- front HTTP -----------------------------------------------------
-    async def _serve_connection(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        try:
-            while True:
-                parsed = await read_http_request(reader)
-                if parsed is None:
-                    break
-                method, path, headers, body, keep_alive = parsed
-                status, payload = await self._dispatch(
-                    method, path, headers, body
-                )
-                extra = None
-                if status in (429, 503):
-                    extra = {"Retry-After": "0.05"}
-                await write_json_response(
-                    writer, status, payload, keep_alive, extra
-                )
-                if not keep_alive:
-                    break
-        except (ConnectionError, asyncio.IncompleteReadError) as error:
-            obs.count(f"fleet.conn_aborts.{type(error).__name__}")
-        finally:
-            await close_quietly(writer, where="fleet")
-
     async def _dispatch(
         self, method: str, path: str, headers: Dict[str, str], body: bytes
     ) -> Tuple[int, Dict[str, object]]:
@@ -1433,7 +1410,6 @@ class PlacementFleet:
         async def dispatch(
             placements: List[Tuple[NodeId, ...]],
             utility: Optional[dict],
-            backend: Optional[str],
         ) -> List[float]:
             request: Dict[str, object] = {
                 "kind": "evaluate",
@@ -1444,8 +1420,6 @@ class PlacementFleet:
             }
             if utility is not None:
                 request["utility"] = utility
-            if backend is not None:
-                request["backend"] = backend
             body = json.dumps(request).encode("utf-8")
             status, payload = await self._answer(
                 "evaluate", request, body, digest
@@ -1487,40 +1461,27 @@ class PlacementFleet:
                 return 400, {"error": "placements must be lists of sites"}
         except ServeRequestError as error:
             return 400, {"error": str(error)}
-        backend = request.get("backend")
-        if backend is not None and backend not in ("python", "numpy"):
-            return 400, {
-                "error": f"unknown backend {backend!r}; expected 'python' "
-                "or 'numpy'"
-            }
         utility = request.get("utility")
         if utility is None or isinstance(utility, dict):
-            self._parse_cache[(digest, body)] = (
-                placements,
-                utility,
-                backend,
-            )
+            self._parse_cache[(digest, body)] = (placements, utility)
             if len(self._parse_cache) > PARSE_CACHE_ENTRIES:
                 self._parse_cache.popitem(last=False)
         return await self._front_evaluate_parsed(
-            batcher, (placements, utility, backend), digest
+            batcher, (placements, utility), digest
         )
 
     async def _front_evaluate_parsed(
         self,
         batcher: MicroBatcher,
-        parsed: Tuple[
-            List[List[NodeId]], Optional[dict], Optional[str]
-        ],
+        parsed: Tuple[List[List[NodeId]], Optional[dict]],
         digest: str,
     ) -> Tuple[int, Dict[str, object]]:
         """Batch an already-validated evaluate request (parse-memo hit)."""
-        placements, utility, backend = parsed
+        placements, utility = parsed
         try:
             totals = await batcher.evaluate(
                 placements,
                 utility=utility,  # type: ignore[arg-type]
-                backend=backend,  # type: ignore[arg-type]
                 inflight=self._inflight,
             )
         except _ShardAnswer as answer:
@@ -1806,6 +1767,7 @@ async def run_fleet(
             await stop.wait()
     finally:
         await fleet.shutdown()
+        await fleet.connections.close_idle()
 
 
 __all__ = [

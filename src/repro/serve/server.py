@@ -40,7 +40,10 @@ Operational behavior:
   a worker never works longer than its caller is willing to wait).
 * **graceful shutdown** — :meth:`PlacementServer.shutdown` stops
   accepting, answers new requests 503 while draining, flushes the
-  batcher, and waits for in-flight requests to finish.
+  batcher, and waits for in-flight requests to finish.  Keep-alive
+  connections stay open (and answer 503) until
+  :meth:`HttpConnections.close_idle` closes the idle ones as the loop
+  stops.
 * **fault injection** — a :class:`~repro.reliability.FaultInjector` on
   the engine can fail (HTTP 500) or stall admitted requests.
 
@@ -55,7 +58,7 @@ import asyncio
 import json
 import signal
 from pathlib import Path
-from typing import Dict, Optional, Tuple, Union
+from typing import Awaitable, Callable, Dict, Optional, Tuple, Union
 
 from .. import obs
 from ..errors import (
@@ -215,6 +218,91 @@ async def close_quietly(
         obs.count(f"{where}.close_aborts")
 
 
+#: Signature of the per-request handler a connection loop answers with.
+RequestHandler = Callable[
+    [str, str, Dict[str, str], bytes],
+    Awaitable[Tuple[int, Dict[str, object]]],
+]
+
+
+#: Seconds :meth:`HttpConnections.close_idle` waits for handlers to exit.
+_CLOSE_TIMEOUT = 5.0
+
+
+class HttpConnections:
+    """The keep-alive HTTP/1.1 connections of one server.
+
+    Shared by :class:`PlacementServer` and the fleet front: :meth:`serve`
+    is the ``asyncio.start_server`` callback.  Each connection reads a
+    request, answers it through ``dispatch`` (a 429/503 reply carries
+    ``Retry-After: <retry_after>``) and waits for the next, until the
+    peer closes or asks for ``Connection: close``.  Aborts are counted
+    as ``<where>.conn_aborts.<error>``.
+    """
+
+    def __init__(
+        self, dispatch: RequestHandler, where: str, retry_after: float
+    ) -> None:
+        self._dispatch = dispatch
+        self._where = where
+        self._retry_after = f"{retry_after:g}"
+        #: Connections waiting for their next request, with the handler
+        #: task serving each.
+        self._idle: Dict[asyncio.StreamWriter, "asyncio.Task[object]"] = {}
+        self._closing = False
+
+    async def serve(
+        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
+    ) -> None:
+        """Answer one connection until it closes."""
+        handler = asyncio.current_task()
+        try:
+            while not self._closing:
+                if handler is not None:
+                    self._idle[writer] = handler
+                try:
+                    parsed = await read_http_request(reader)
+                finally:
+                    self._idle.pop(writer, None)
+                if parsed is None:
+                    break
+                method, path, headers, body, keep_alive = parsed
+                status, payload = await self._dispatch(
+                    method, path, headers, body
+                )
+                extra = None
+                if status in (429, 503):
+                    extra = {"Retry-After": self._retry_after}
+                await write_json_response(
+                    writer, status, payload, keep_alive, extra
+                )
+                if not keep_alive:
+                    break
+        except (ConnectionError, asyncio.IncompleteReadError) as error:
+            obs.count(f"{self._where}.conn_aborts.{type(error).__name__}")
+        finally:
+            await close_quietly(writer, where=self._where)
+
+    async def close_idle(self) -> None:
+        """Close the connections waiting for a request, when the loop stops.
+
+        Call it after the server's shutdown and before the event loop
+        cancels what is left.  An idle connection closed here reads EOF
+        and its handler returns normally; a busy one returns after its
+        current reply.  Cancelled instead, an idle handler would reach
+        asyncio's stream callback, which logs the cancellation as an
+        ``Exception in callback ... CancelledError`` traceback.
+        """
+        self._closing = True
+        handlers = list(self._idle.values())
+        for writer in list(self._idle):
+            writer.close()
+        if handlers:
+            _, stuck = await asyncio.wait(handlers, timeout=_CLOSE_TIMEOUT)
+            if stuck:
+                obs.count(f"{self._where}.close_timeouts", len(stuck))
+
+
 def effective_deadline(headers: Dict[str, str], default: float) -> float:
     """The per-request deadline: header-propagated budget, capped at ``default``.
 
@@ -361,7 +449,12 @@ class PlacementServer:
         self._latency_log = Path(latency_log) if latency_log else None
         self._latency_log_degraded = False
         self._clock: Clock = clock if clock is not None else SystemClock()
-        self._retry_after = retry_after
+        #: The keep-alive connections.  They stay open through
+        #: :meth:`shutdown`, so a request on one is answered 503; close
+        #: them with ``connections.close_idle()`` as the loop stops.
+        self.connections = HttpConnections(
+            self._dispatch, "serve", retry_after
+        )
         self._worker_label = worker_label if worker_label else "solo"
         self._tracer: Optional[obs_trace.TraceRecorder] = None
         if trace_dir is not None:
@@ -415,7 +508,7 @@ class PlacementServer:
         self._idle = asyncio.Event()
         self._idle.set()
         self._server = await asyncio.start_server(
-            self._serve_connection, self._host, self._requested_port
+            self.connections.serve, self._host, self._requested_port
         )
 
     async def shutdown(self, drain_timeout: float = 10.0) -> None:
@@ -458,34 +551,6 @@ class PlacementServer:
         if self._server is None:
             raise ServeRequestError("server is not started")
         await self._server.serve_forever()
-
-    # ------------------------------------------------------------------
-    # connection handling
-    # ------------------------------------------------------------------
-    async def _serve_connection(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        try:
-            while True:
-                parsed = await read_http_request(reader)
-                if parsed is None:
-                    break
-                method, path, headers, body, keep_alive = parsed
-                status, payload = await self._dispatch(
-                    method, path, headers, body
-                )
-                extra = None
-                if status in (429, 503):
-                    extra = {"Retry-After": f"{self._retry_after:g}"}
-                await write_json_response(
-                    writer, status, payload, keep_alive, extra
-                )
-                if not keep_alive:
-                    break
-        except (ConnectionError, asyncio.IncompleteReadError) as error:
-            obs.count(f"serve.conn_aborts.{type(error).__name__}")
-        finally:
-            await close_quietly(writer, where="serve")
 
     # ------------------------------------------------------------------
     # request dispatch
@@ -657,15 +722,9 @@ class PlacementServer:
                     f"placements[{index}] must be a list of sites"
                 )
             placements.append([decode_site(site) for site in entry])
-        backend = request.get("backend")
-        if backend is not None and backend not in ("python", "numpy"):
-            raise ServeRequestError(
-                f"unknown backend {backend!r}; expected 'python' or 'numpy'"
-            )
         totals = await self._batcher.evaluate(
             placements,
             utility=request.get("utility"),  # type: ignore[arg-type]
-            backend=backend,  # type: ignore[arg-type]
             # The admission counter is the concurrency signal the batcher
             # itself cannot see (kernel calls are synchronous): below the
             # bypass threshold the window would cost more latency than
@@ -781,11 +840,13 @@ async def run_server(
             await stop.wait()
     finally:
         await server.shutdown()
+        await server.connections.close_idle()
 
 
 __all__ = [
     "DEADLINE_HEADER",
     "DIGEST_HEADER",
+    "HttpConnections",
     "PlacementServer",
     "close_quietly",
     "effective_deadline",

@@ -96,6 +96,9 @@ class ServerThread:
                 loop.set_exception_handler(lambda _loop, _context: None)
             else:
                 loop.run_until_complete(self._placement_server.shutdown())
+                loop.run_until_complete(
+                    self._placement_server.connections.close_idle()
+                )
             # Let connection handlers and transport close callbacks
             # finish before the loop closes, so no callback lands on a
             # closed loop.
@@ -219,6 +222,7 @@ class FleetThread:
             loop.run_forever()
         finally:
             loop.run_until_complete(self._fleet.shutdown())
+            loop.run_until_complete(self._fleet.connections.close_idle())
             pending = asyncio.all_tasks(loop)
             for task in pending:
                 task.cancel()

@@ -120,15 +120,15 @@ class TestSubmodularity:
     @given(seed=st.integers(0, 100_000))
     def test_diminishing_returns(self, seed):
         """gain_A(v) >= gain_B(v) whenever A is a subset of B."""
-        from repro.core import IncrementalEvaluator
+        from repro.core import ArrayEvaluator
 
         rng = random.Random(seed)
         scenario = random_scenario(seed, LinearUtility, threshold=5.0)
         sites = list(scenario.candidate_sites)
         a, b, v = rng.sample(sites, 3)
-        small = IncrementalEvaluator(scenario)
+        small = ArrayEvaluator(scenario)
         small.place(a)
-        large = IncrementalEvaluator(scenario)
+        large = ArrayEvaluator(scenario)
         large.place(a)
         large.place(b)
         assert small.gain(v) >= large.gain(v) - EPS

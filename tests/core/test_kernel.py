@@ -1,10 +1,11 @@
 """Differential tests for the array kernel (repro.core.kernel).
 
 The NumPy-backed :class:`ArrayEvaluator` and the CELF lazy scans must be
-*indistinguishable* from the pure-Python reference: gains agree to float
-noise, placements agree bit-for-bit (same sites, same order), and
-``finish()`` reproduces ``evaluate_placement`` exactly.  Everything here
-is property-tested on random scenarios across all three paper utilities.
+*indistinguishable* from the per-entry reference in
+:mod:`tests.core.eval_reference`: gains agree to float noise, placements
+agree bit-for-bit (same sites, same order), and ``finish()`` reproduces
+``evaluate_placement`` exactly.  Everything here is property-tested on
+random scenarios across all three paper utilities.
 """
 
 import random
@@ -16,7 +17,6 @@ from hypothesis import strategies as st
 
 from repro.algorithms import algorithm_by_name
 from repro.core import (
-    IncrementalEvaluator,
     LinearUtility,
     Scenario,
     SqrtUtility,
@@ -29,20 +29,18 @@ from repro.core.kernel import (
     CelfQueue,
     PackedCoverage,
     evaluate_placement_many,
-    make_evaluator,
-    resolve_backend,
 )
 from repro.errors import InvalidScenarioError
 from repro.graphs import manhattan_grid
 
-UTILITIES = [ThresholdUtility, LinearUtility, SqrtUtility]
-
-GREEDY_VARIANTS = (
-    "greedy-coverage",
-    "composite-greedy",
-    "marginal-greedy",
-    "lazy-greedy",
+from .eval_reference import (
+    REFERENCE_GREEDIES,
+    IncrementalEvaluator,
+    reference_select,
+    reference_totals,
 )
+
+UTILITIES = [ThresholdUtility, LinearUtility, SqrtUtility]
 
 
 def random_instance(seed: int):
@@ -192,9 +190,7 @@ class TestEvaluatorAgreement:
         totals = evaluate_placement_many(scenario, placements)
         for sites, total in zip(placements, totals):
             assert total == evaluate_placement(scenario, sites).attracted
-        assert evaluate_placement_many(
-            scenario, placements, backend="python"
-        ) == pytest.approx(totals, abs=1e-9)
+        assert reference_totals(scenario, placements) == totals
 
     def test_place_rejects_duplicates(self):
         scenario, _ = random_instance(3)
@@ -209,32 +205,26 @@ class TestBackendPlacementEquality:
     @settings(max_examples=40, deadline=None)
     @given(seed=st.integers(0, 100_000))
     def test_backends_pick_identical_sites_in_identical_order(self, seed):
-        """CELF/batched numpy scans == exhaustive python scans, bit-equal."""
+        """CELF/batched array scans == exhaustive reference scans, bit-equal."""
         scenario, rng = random_instance(seed)
         k = rng.randint(1, 8)
-        for name in GREEDY_VARIANTS:
-            python = algorithm_by_name(name, backend="python").select(
-                scenario, k
-            )
-            numpy_sites = algorithm_by_name(name, backend="numpy").select(
-                scenario, k
-            )
-            assert numpy_sites == python, name
+        for name in REFERENCE_GREEDIES:
+            chosen = algorithm_by_name(name).select(scenario, k)
+            assert chosen == reference_select(name, scenario, k), name
 
     @settings(max_examples=25, deadline=None)
     @given(seed=st.integers(0, 100_000))
     def test_backends_agree_without_saturation_stop(self, seed):
-        """The zero-gain fallback path is backend-invariant too."""
+        """The zero-gain fallback path matches the reference too."""
         scenario, rng = random_instance(seed)
         k = rng.randint(1, 10)
-        for name in ("greedy-coverage", "marginal-greedy"):
-            python = algorithm_by_name(
-                name, backend="python", stop_when_saturated=False
+        for name in ("greedy-coverage", "marginal-greedy", "composite-greedy"):
+            chosen = algorithm_by_name(
+                name, stop_when_saturated=False
             ).select(scenario, k)
-            numpy_sites = algorithm_by_name(
-                name, backend="numpy", stop_when_saturated=False
-            ).select(scenario, k)
-            assert numpy_sites == python, name
+            assert chosen == reference_select(
+                name, scenario, k, stop_when_saturated=False
+            ), name
 
     @settings(max_examples=25, deadline=None)
     @given(seed=st.integers(0, 100_000))
@@ -267,44 +257,36 @@ class TestBackendPlacementEquality:
         assert queue.evaluations == len(sites)  # round-0 seeds are fresh
 
 
-class TestBackendResolution:
-    def test_explicit_argument_wins(self):
-        scenario, _ = random_instance(1)
-        assert resolve_backend("python", scenario) == "python"
+class TestOneEngine:
+    def test_algorithms_take_no_backend_argument(self):
+        for name in REFERENCE_GREEDIES + ("sieve-stream",):
+            with pytest.raises(TypeError):
+                algorithm_by_name(name, backend="numpy")
 
-    def test_scenario_default_wins_over_environment(self, monkeypatch):
-        monkeypatch.setenv("RAPFLOW_BACKEND", "numpy")
+    def test_scenario_takes_no_default_backend(self):
         scenario, _ = random_instance(1)
-        pinned = Scenario(
-            scenario.network,
-            scenario.flows,
-            scenario.shop,
-            scenario.utility,
-            default_backend="python",
-        )
-        assert resolve_backend(None, pinned) == "python"
-        assert isinstance(make_evaluator(pinned), IncrementalEvaluator)
-
-    def test_environment_then_default(self, monkeypatch):
-        scenario, _ = random_instance(1)
-        monkeypatch.setenv("RAPFLOW_BACKEND", "python")
-        assert resolve_backend(None, scenario) == "python"
-        monkeypatch.delenv("RAPFLOW_BACKEND")
-        assert resolve_backend(None, scenario) == "numpy"
-        assert isinstance(make_evaluator(scenario), ArrayEvaluator)
-
-    def test_unknown_backend_rejected(self):
-        scenario, _ = random_instance(1)
-        with pytest.raises(InvalidScenarioError):
-            resolve_backend("fortran", scenario)
-        with pytest.raises(InvalidScenarioError):
+        with pytest.raises(TypeError):
             Scenario(
                 scenario.network,
                 scenario.flows,
                 scenario.shop,
                 scenario.utility,
-                default_backend="fortran",
+                default_backend="python",
             )
+
+    def test_environment_variable_is_ignored(self, monkeypatch):
+        scenario, _ = random_instance(1)
+        expected = algorithm_by_name("lazy-greedy").select(scenario, 3)
+        monkeypatch.setenv("RAPFLOW_BACKEND", "python")
+        assert algorithm_by_name("lazy-greedy").select(scenario, 3) == expected
+
+    def test_lazy_greedy_is_marginal_greedy_under_its_own_name(self):
+        scenario, _ = random_instance(4)
+        lazy = algorithm_by_name("lazy-greedy")
+        marginal = algorithm_by_name("marginal-greedy")
+        assert lazy.select(scenario, 4) == marginal.select(scenario, 4)
+        assert lazy.evaluations == marginal.evaluations > 0
+        assert lazy.place(scenario, 2).algorithm == "lazy-greedy"
 
 
 class TestProbabilityArray:

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import (
-    IncrementalEvaluator,
+    ArrayEvaluator,
     LinearUtility,
     Scenario,
     SqrtUtility,
@@ -64,7 +64,7 @@ class TestEvaluationInvariants:
     def test_incremental_equals_batch_any_order(self, seed):
         scenario, rng = random_instance(seed)
         raps = rng.sample(list(scenario.candidate_sites), rng.randint(1, 5))
-        evaluator = IncrementalEvaluator(scenario)
+        evaluator = ArrayEvaluator(scenario)
         for rap in raps:
             evaluator.place(rap)
         batch = evaluate_placement(scenario, raps)

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core import (
-    IncrementalEvaluator,
+    ArrayEvaluator,
     LinearUtility,
     Scenario,
     ThresholdUtility,
@@ -137,15 +137,17 @@ class TestEvaluatePlacement:
 
 
 class TestIncrementalEvaluator:
+    """Incremental evaluation (the array kernel) on the Fig. 4 example."""
+
     def test_matches_batch_evaluation(self, paper_linear_scenario):
-        inc = IncrementalEvaluator(paper_linear_scenario)
+        inc = ArrayEvaluator(paper_linear_scenario)
         inc.place("V3")
         inc.place("V2")
         batch = evaluate_placement(paper_linear_scenario, ["V3", "V2"])
         assert inc.attracted == pytest.approx(batch.attracted)
 
     def test_gain_matches_realized(self, paper_linear_scenario):
-        inc = IncrementalEvaluator(paper_linear_scenario)
+        inc = ArrayEvaluator(paper_linear_scenario)
         for node in ["V3", "V2", "V4"]:
             predicted = inc.gain(node)
             realized = inc.place(node)
@@ -153,13 +155,13 @@ class TestIncrementalEvaluator:
 
     def test_paper_gains(self, paper_linear_scenario):
         """Step-by-step gains from the paper's Fig. 4 walkthrough."""
-        inc = IncrementalEvaluator(paper_linear_scenario)
+        inc = ArrayEvaluator(paper_linear_scenario)
         assert inc.gain("V3") == pytest.approx(5.0)
         inc.place("V3")
         assert inc.gain("V2") == pytest.approx(2.0)
 
     def test_gain_split(self, paper_linear_scenario):
-        inc = IncrementalEvaluator(paper_linear_scenario)
+        inc = ArrayEvaluator(paper_linear_scenario)
         inc.place("V3")
         uncovered, covered = inc.gain_split("V2")
         # T25 is already covered (by V3); V2 improves it by 2.
@@ -171,26 +173,26 @@ class TestIncrementalEvaluator:
         assert covered5 == 0.0
 
     def test_gain_split_sums_to_gain(self, paper_linear_scenario):
-        inc = IncrementalEvaluator(paper_linear_scenario)
+        inc = ArrayEvaluator(paper_linear_scenario)
         inc.place("V3")
         for node in ["V1", "V2", "V4", "V5", "V6"]:
             u, c = inc.gain_split(node)
             assert u + c == pytest.approx(inc.gain(node))
 
     def test_placed_twice_rejected(self, paper_linear_scenario):
-        inc = IncrementalEvaluator(paper_linear_scenario)
+        inc = ArrayEvaluator(paper_linear_scenario)
         inc.place("V3")
         with pytest.raises(InvalidScenarioError):
             inc.place("V3")
 
     def test_gain_of_placed_node_is_zero(self, paper_linear_scenario):
-        inc = IncrementalEvaluator(paper_linear_scenario)
+        inc = ArrayEvaluator(paper_linear_scenario)
         inc.place("V3")
         assert inc.gain("V3") == 0.0
         assert inc.gain_split("V3") == (0.0, 0.0)
 
     def test_coverage_tracking(self, paper_linear_scenario):
-        inc = IncrementalEvaluator(paper_linear_scenario)
+        inc = ArrayEvaluator(paper_linear_scenario)
         assert not inc.is_covered(0)
         inc.place("V3")
         assert inc.is_covered(0)  # T25 passes V3
@@ -201,7 +203,7 @@ class TestIncrementalEvaluator:
         assert not inc.covers_new_flows("V2")
 
     def test_finish_produces_placement(self, paper_linear_scenario):
-        inc = IncrementalEvaluator(paper_linear_scenario)
+        inc = ArrayEvaluator(paper_linear_scenario)
         inc.place("V2")
         inc.place("V4")
         placement = inc.finish("manual")
@@ -210,7 +212,7 @@ class TestIncrementalEvaluator:
         assert placement.raps == ("V2", "V4")
 
     def test_best_detour_tracking(self, paper_linear_scenario):
-        inc = IncrementalEvaluator(paper_linear_scenario)
+        inc = ArrayEvaluator(paper_linear_scenario)
         assert inc.best_detour(0) == INFINITY
         inc.place("V3")
         assert inc.best_detour(0) == pytest.approx(4.0)

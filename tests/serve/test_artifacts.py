@@ -45,6 +45,27 @@ class TestDigest:
         assert digest == spec_digest(scenario_to_spec(scenario))
         assert len(digest) == 64
 
+    def test_paper_example_digests_are_pinned(self):
+        """Artifact digests of the Fig. 4 example, byte for byte.
+
+        The spec keeps its fixed ``"default_backend": null`` field, so
+        these digests (and every stored artifact) survive scenarios no
+        longer choosing an evaluation engine.
+        """
+        assert scenario_to_spec(fresh_scenario())["default_backend"] is None
+        assert scenario_digest(fresh_scenario()) == (
+            "cfe86d6d554f0ae3f830e781a2cd150cc495344f5616424dd53e0918bd459224"
+        )
+        assert scenario_digest(fresh_scenario(LinearUtility(6.0))) == (
+            "8ae10936043c30acd8b36f450bb56c3a12bcd529800dab9371f25d37e2a247da"
+        )
+
+    def test_spec_default_backend_value_is_ignored(self):
+        spec = scenario_to_spec(fresh_scenario())
+        spec["default_backend"] = "python"
+        restored = scenario_from_spec(spec)
+        assert scenario_to_spec(restored) == scenario_to_spec(fresh_scenario())
+
     def test_custom_utility_is_refused(self):
         scenario = fresh_scenario(CustomUtility(6.0, lambda d: 1.0))
         with pytest.raises(ServeArtifactError, match="not serializable"):

@@ -6,11 +6,12 @@ so call counts and scatter order are exactly observable.
 """
 
 import asyncio
+import json
 
 import pytest
 
 from repro.errors import ServeRequestError
-from repro.serve import MicroBatcher
+from repro.serve import MicroBatcher, PlacementServer
 
 
 class RecordingEngine:
@@ -20,8 +21,8 @@ class RecordingEngine:
         self.calls = []
         self.error = error
 
-    def evaluate_totals(self, placements, utility=None, backend=None):
-        self.calls.append((tuple(placements), utility, backend))
+    def evaluate_totals(self, placements, utility=None):
+        self.calls.append((tuple(placements), utility))
         if self.error is not None:
             raise self.error
         return [
@@ -107,7 +108,7 @@ class TestCoalescing:
 
         results = asyncio.run(scenario())
         assert results == [[3.0]] * 6
-        (placements, _, _), = engine.calls
+        (placements, _), = engine.calls
         assert placements == ((("V3",),))
         assert batcher.stats()["deduped"] == 5
 
@@ -123,7 +124,7 @@ class TestCoalescing:
         # One request, duplicate rows: totals come back in request order
         # even though the engine saw a deduplicated batch.
         assert asyncio.run(scenario()) == [5.0, 3.0, 5.0, 2.0]
-        (placements, _, _), = engine.calls
+        (placements, _), = engine.calls
         assert placements == (("V5",), ("V3",), ("V2",))
 
 
@@ -143,18 +144,48 @@ class TestGrouping:
         assert len(engine.calls) == 2
         assert {call[1] is None for call in engine.calls} == {True, False}
 
-    def test_different_backends_never_share_a_call(self):
-        engine = RecordingEngine()
-        batcher = MicroBatcher(engine, window=0.01)
+    def test_backend_field_never_splits_a_batch(self, engine):
+        """Requests differing only in the ignored ``backend`` field share
+        one kernel call, deduplicated to one row."""
+        calls = []
+        evaluate_totals = engine.evaluate_totals
+
+        def recording(placements, utility=None):
+            calls.append(list(placements))
+            return evaluate_totals(placements, utility=utility)
+
+        engine.evaluate_totals = recording
+        server = PlacementServer(engine, batch_window=0.01, bypass_threshold=0)
 
         async def scenario():
-            return await asyncio.gather(
-                batcher.evaluate([("V3",)], backend="python"),
-                batcher.evaluate([("V3",)], backend="numpy"),
-            )
+            await server.start()
+            try:
+                return await asyncio.gather(
+                    *(
+                        server._dispatch(
+                            "POST",
+                            "/query",
+                            {},
+                            json.dumps(
+                                {"kind": "evaluate", "placements": [["V3"]],
+                                 **extra}
+                            ).encode(),
+                        )
+                        for extra in (
+                            {},
+                            {"backend": "python"},
+                            {"backend": "numpy"},
+                            {"backend": "fortran"},
+                        )
+                    )
+                )
+            finally:
+                await server.shutdown()
 
-        asyncio.run(scenario())
-        assert sorted(call[2] for call in engine.calls) == ["numpy", "python"]
+        replies = asyncio.run(scenario())
+        assert [status for status, _ in replies] == [200] * 4
+        assert len({json.dumps(reply) for _, reply in replies}) == 1
+        assert calls == [[("V3",)]]
 
 
 class TestFlushTriggers:
@@ -265,7 +296,7 @@ class SleepEngine:
         self.seconds = seconds
         self.calls = 0
 
-    def evaluate_totals(self, placements, utility=None, backend=None):
+    def evaluate_totals(self, placements, utility=None):
         self.calls += 1
         import time
 

@@ -9,6 +9,7 @@ from the server's accept log, not inferred from client internals.
 """
 
 import json
+import socket
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -66,6 +67,17 @@ class _ScriptedServer:
         self._httpd.shutdown()
         self._httpd.server_close()
         self._thread.join(timeout=10.0)
+
+
+def refused_port():
+    """A local port nothing listens on: bound once, then closed.
+
+    Connecting to it is refused immediately, so each attempt is a fast
+    transport error rather than a wait for the client's timeout.
+    """
+    with socket.socket(socket.AF_INET, socket.SOCK_STREAM) as sock:
+        sock.bind(("127.0.0.1", 0))
+        return sock.getsockname()[1]
 
 
 def recording_client(port, sleeps, **kwargs):
@@ -197,11 +209,9 @@ class TestKeepAlive:
 class TestRetrySchedule:
     def test_transport_errors_follow_exponential_backoff(self):
         sleeps = []
-        # Nothing listens on the scripted server's port until entered:
-        # every attempt is a transport error.
-        stub = _ScriptedServer([(200, {}, {})])
+        # Nothing listens on the port: every attempt is refused at once.
         client = recording_client(
-            stub.port, sleeps, retries=3, backoff=0.1, backoff_cap=10.0
+            refused_port(), sleeps, retries=3, backoff=0.1, backoff_cap=10.0
         )
         with pytest.raises(ServeClientError) as info:
             client.healthz()
@@ -210,12 +220,12 @@ class TestRetrySchedule:
 
     def test_backoff_is_capped(self):
         sleeps = []
-        stub = _ScriptedServer([(200, {}, {})])
         client = recording_client(
-            stub.port, sleeps, retries=4, backoff=0.1, backoff_cap=0.25
+            refused_port(), sleeps, retries=4, backoff=0.1, backoff_cap=0.25
         )
-        with pytest.raises(ServeClientError):
+        with pytest.raises(ServeClientError) as info:
             client.healthz()
+        assert info.value.status is None
         assert sleeps == [0.1, 0.2, 0.25, 0.25]
 
     def test_jitter_is_seeded_and_reproducible(self):

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.algorithms import CompositeGreedy
-from repro.core.kernel import evaluate_placement_many, make_evaluator
+from repro.core.kernel import ArrayEvaluator, evaluate_placement_many
 from repro.errors import ServeFaultError, ServeRequestError
 from repro.reliability import FaultConfig, FaultInjector
 from repro.serve import QueryEngine
@@ -79,12 +79,14 @@ class TestEvaluate:
             paper_linear_scenario, [["V3", "V2"]]
         )
 
-    def test_bad_backend_rejected(self, engine):
-        with pytest.raises(ServeRequestError, match="backend"):
-            engine.handle(
+    def test_backend_field_is_ignored(self, engine):
+        """``backend`` is an unknown field now, ignored like any other."""
+        plain = engine.handle({"kind": "evaluate", "placements": [["V3"]]})
+        for value in ("gpu", "python", "numpy", None, 7):
+            assert engine.handle(
                 {"kind": "evaluate", "placements": [["V3"]],
-                 "backend": "gpu"}
-            )
+                 "backend": value}
+            ) == plain
 
 
 class TestWhatIf:
@@ -141,7 +143,7 @@ class TestTopGains:
     def test_matches_direct_evaluator_gains(self, engine,
                                             paper_threshold_scenario):
         response = engine.handle({"kind": "top_gains", "placement": []})
-        evaluator = make_evaluator(paper_threshold_scenario)
+        evaluator = ArrayEvaluator(paper_threshold_scenario)
         expected = {
             site: evaluator.gain(site)
             for site in paper_threshold_scenario.candidate_sites

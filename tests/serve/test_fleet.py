@@ -8,6 +8,7 @@ SIGKILL.  Supervision tests poll with deadlines rather than fixed
 sleeps so they stay fast on a quiet machine and robust on a loaded one.
 """
 
+import logging
 import time
 
 import pytest
@@ -79,6 +80,46 @@ class TestRouting:
                 assert response["digest"] == artifact.digest
                 assert response["served_by"].startswith("w")
                 assert "degraded" not in response
+
+    def test_backend_values_get_identical_replies(self, artifact):
+        """The front forwards, dedups and batches without ``backend``."""
+        requests = [
+            {"kind": "evaluate", "placements": [["V3", "V5"], ["V2"]]},
+            {"kind": "place", "k": 2},
+            {"kind": "top_gains", "placement": ["V3"]},
+            {"kind": "what_if", "placement": ["V3"], "add": "V5"},
+        ]
+        volatile = ("served_by", "trace_id")
+        fleet = make_fleet(artifact)
+        with FleetThread(fleet) as handle:
+            client = handle.client()
+            for request in requests:
+                replies = [
+                    client.query(dict(request, backend=value))
+                    for value in ("python", "numpy", "fortran")
+                ]
+                replies.append(client.query(request))
+                stable = [
+                    {k: v for k, v in reply.items() if k not in volatile}
+                    for reply in replies
+                ]
+                assert all(reply == stable[-1] for reply in stable), request
+
+    def test_idle_keep_alive_client_leaves_no_traceback(
+        self, artifact, caplog
+    ):
+        """Stopping under an idle keep-alive client logs no asyncio error."""
+        fleet = make_fleet(artifact)
+        with caplog.at_level(logging.ERROR, logger="asyncio"):
+            with FleetThread(fleet) as handle:
+                client = handle.client()
+                response = client.query(
+                    {"kind": "evaluate", "placements": [["V3", "V5"]]}
+                )
+                assert response["totals"] == [21.0]
+                # The client's socket stays open and idle across the stop.
+        assert [r.getMessage() for r in caplog.records
+                if r.name == "asyncio"] == []
 
     def test_requests_spread_across_workers(self, artifact):
         fleet = make_fleet(artifact, config=fast_config(workers=3))

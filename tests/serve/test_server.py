@@ -6,6 +6,7 @@ then verify that excess concurrent requests are rejected immediately
 with 429 — never queued, never hung.
 """
 
+import logging
 import threading
 import time
 
@@ -319,6 +320,16 @@ class TestGracefulShutdown:
         finally:
             handle.stop()
 
+    def test_idle_keep_alive_client_leaves_no_traceback(self, engine, caplog):
+        """Stopping under an idle keep-alive client logs no asyncio error."""
+        with caplog.at_level(logging.ERROR, logger="asyncio"):
+            with ServerThread(engine) as handle:
+                client = handle.client()
+                assert client.evaluate([["V3"]]) == [15.0]
+                # The client's socket stays open and idle across the stop.
+        assert [r.getMessage() for r in caplog.records
+                if r.name == "asyncio"] == []
+
     def test_stopped_server_refuses_connections(self, engine):
         with ServerThread(engine) as handle:
             port = handle.port
@@ -328,6 +339,26 @@ class TestGracefulShutdown:
         with pytest.raises(ServeClientError) as info:
             ServeClient("127.0.0.1", port, timeout=2.0).evaluate([["V3"]])
         assert info.value.status is None  # transport error, not HTTP
+
+
+class TestIgnoredBackendField:
+    def test_backend_values_get_identical_replies(self, engine):
+        """``backend`` is an ignored field: python, numpy, fortran or none."""
+        requests = [
+            {"kind": "evaluate", "placements": [["V3", "V5"], ["V2"]]},
+            {"kind": "place", "k": 2},
+            {"kind": "top_gains", "placement": ["V3"]},
+            {"kind": "what_if", "placement": ["V3"], "add": "V5"},
+        ]
+        with ServerThread(engine) as handle:
+            client = handle.client()
+            for request in requests:
+                replies = [
+                    client.query(dict(request, backend=value))
+                    for value in ("python", "numpy", "fortran")
+                ]
+                replies.append(client.query(request))
+                assert all(reply == replies[-1] for reply in replies), request
 
 
 class TestLatencyLog:

@@ -34,6 +34,8 @@ from repro.serve.shm import (
     segment_name_for,
 )
 
+from ..core.eval_reference import reference_totals
+
 REPO_ROOT = Path(__file__).resolve().parents[2]
 
 #: Rebuilds the Fig. 4 artifact inside a child interpreter.
@@ -89,15 +91,11 @@ class TestPublishAttach:
         loaded = ArtifactStore(tmp_path / "cache").load(artifact.digest)
         attached = ScenarioArtifact.attach(pool, artifact.digest)
         placements = [("V3", "V5"), ("V2",), ("V2", "V4", "V6"), ()]
-        for backend in ("python", "numpy"):
-            via_shm = QueryEngine(attached).evaluate_totals(
-                placements, backend=backend
-            )
-            via_disk = QueryEngine(loaded).evaluate_totals(
-                placements, backend=backend
-            )
-            assert via_shm == via_disk
-            assert via_shm[0] == 21.0
+        via_shm = QueryEngine(attached).evaluate_totals(placements)
+        via_disk = QueryEngine(loaded).evaluate_totals(placements)
+        assert via_shm == via_disk
+        assert via_shm == reference_totals(attached.scenario, placements)
+        assert via_shm[0] == 21.0
         pool.detach(artifact.digest)
 
     def test_publish_is_idempotent_per_digest(self, artifact, pool):

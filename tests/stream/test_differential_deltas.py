@@ -3,9 +3,10 @@
 The incremental patch path (:meth:`ScenarioArtifact.patched`, a
 copy-on-write update of the CSR volume vector) must be
 indistinguishable — digest, every packed column, every evaluated
-total, on both kernel backends — from compiling the updated scenario
-from scratch.  100 seeded random delta sequences chain 1–4 patches
-each and compare the end states; a second differential covers
+total, by the kernel and by the exact reference scorer — from compiling
+the updated scenario from scratch.  100 seeded random delta sequences
+chain 1–4 patches each and compare the end states; a second
+differential covers
 :func:`reevaluate_affected` (only affected placements recomputed)
 against full batch evaluation.
 """
@@ -24,9 +25,12 @@ from repro.serve import ScenarioArtifact
 from repro.serve.artifacts import scenario_from_spec, spec_digest
 from repro.stream import patched_spec
 
+from ..core.eval_reference import reference_totals
 from .conftest import build_stream_scenario
 
-BACKENDS = ("python", "numpy")
+#: Who scores the totals around the patch: "python" is the exact
+#: path-walking reference, "numpy" the array kernel.
+SCORERS = {"python": reference_totals, "numpy": evaluate_placement_many}
 
 PACKED_COLUMNS = (
     "indptr", "flow_index", "detour", "position", "entry_row",
@@ -71,24 +75,24 @@ def test_patched_equals_recompiled(seed):
         assert np.array_equal(
             getattr(packed_a, column), getattr(packed_b, column)
         ), column
-    for backend in BACKENDS:
-        assert evaluate_placement_many(
-            patched.scenario, PLACEMENTS, backend
-        ) == evaluate_placement_many(recompiled.scenario, PLACEMENTS, backend)
+    totals = evaluate_placement_many(patched.scenario, PLACEMENTS)
+    assert totals == evaluate_placement_many(recompiled.scenario, PLACEMENTS)
+    assert totals == reference_totals(recompiled.scenario, PLACEMENTS)
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("backend", sorted(SCORERS))
 @pytest.mark.parametrize("seed", range(20))
 def test_reevaluate_affected_matches_full_batch(seed, backend):
+    score = SCORERS[backend]
     rng = random.Random(1000 + seed)
     deltas = random_deltas(rng, BASE.spec)
-    prior = evaluate_placement_many(BASE.scenario, PLACEMENTS, backend)
+    prior = score(BASE.scenario, PLACEMENTS)
     patched = BASE.patched(deltas)
 
     incremental = reevaluate_affected(
-        patched.scenario, PLACEMENTS, prior, sorted(deltas), backend
+        patched.scenario, PLACEMENTS, prior, sorted(deltas)
     )
-    full = evaluate_placement_many(patched.scenario, PLACEMENTS, backend)
+    full = score(patched.scenario, PLACEMENTS)
     assert incremental == full
 
     affected = affected_placements(

@@ -26,17 +26,16 @@ def load(path: Path) -> dict:
 class TestCoreSnapshot:
     def test_stable_top_level_keys(self):
         snapshot = load(CORE_SNAPSHOT)
-        for key in ("schema", "benches", "backend_speedups",
-                    "obs_counters"):
+        for key in ("schema", "benches", "obs_counters"):
             assert key in snapshot, f"BENCH_core.json lost key {key!r}"
-        assert snapshot["schema"] == "rapflow-bench-trajectory/1"
+        assert snapshot["schema"] == "rapflow-bench-trajectory/2"
 
     def test_benches_are_labeled_records(self):
         snapshot = load(CORE_SNAPSHOT)
         benches = snapshot["benches"]
         assert isinstance(benches, list) and benches
         for bench in benches:
-            for key in ("name", "algorithm", "backend", "median_seconds"):
+            for key in ("name", "algorithm", "median_seconds"):
                 assert key in bench
 
     def test_obs_counters_record_greedy_work(self):
@@ -47,13 +46,6 @@ class TestCoreSnapshot:
             assert entry.get("gain_evaluations", 0) > 0, (
                 f"{algorithm} reported no gain evaluations"
             )
-
-    def test_backend_speedups_are_positive(self):
-        snapshot = load(CORE_SNAPSHOT)
-        speedups = snapshot["backend_speedups"]
-        assert isinstance(speedups, dict) and speedups
-        for name, ratio in speedups.items():
-            assert ratio > 0, f"speedup {name} must be positive"
 
 
 class TestServeSnapshot:
